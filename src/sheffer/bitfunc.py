@@ -29,7 +29,9 @@ def _check_arity(arity: int) -> None:
         raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity!r}")
 
 
-@dataclass(frozen=True)
+# Slotted, and pickled as its constructor call: a census row holds its
+# gate, and 65,536 rows cross from the census workers at four inputs.
+@dataclass(frozen=True, slots=True)
 class TruthTable:
     """An N-ary Boolean function as 2**N packed output bits.
 
@@ -47,6 +49,9 @@ class TruthTable:
                 f"code must be in 0..{(1 << self.n_rows) - 1} for arity {self.arity}, "
                 f"got {self.code!r}"
             )
+
+    def __reduce__(self):
+        return TruthTable, (self.arity, self.code)
 
     @property
     def n_rows(self) -> int:

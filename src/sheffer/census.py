@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO
 
-from .bitfunc import TruthTable, hex_width
-from .classify import classify, hex_fast_track
+from .bitfunc import TruthTable
+from .classify import FLAG_FIELDS, Classification, classify, hex_fast_track
 from .closure import generate_closure
 
 __all__ = [
@@ -42,19 +42,15 @@ __all__ = [
 
 CSV_FIELDS = (
     "code",
-    "t0",
-    "t1",
-    "selfdual",
-    "monotone",
-    "affine",
-    "universal_alone",
-    "universal_with_constants",
+    *(column for column, _ in FLAG_FIELDS),
     "closure_plain",
     "closure_const",
     "fast_track",
 )
 
 CSV_HEADER = ",".join(CSV_FIELDS)
+
+_FLAG_ATTRS = dict(FLAG_FIELDS)
 
 #: Reference data files shipped with the package, keyed by hex code.
 REFERENCE_FILES = (
@@ -66,26 +62,21 @@ REFERENCE_FILES = (
 )
 
 
-@dataclass(frozen=True)
-class CensusRow:
-    """Classification flags and closure counts for one gate."""
+@dataclass(frozen=True, slots=True)
+class CensusRow(Classification):
+    """Classification plus closure counts and the fast-track verdict for one gate."""
 
-    arity: int
-    code: int
-    preserves_zero: bool
-    preserves_one: bool
-    self_dual: bool
-    monotone: bool
-    affine: bool
-    universal_alone: bool
-    universal_with_constants: bool
     closure_plain: int | None
     closure_const: int | None
     fast_track: bool | None
 
     @property
-    def hex_code(self) -> str:
-        return format(self.code, f"0{hex_width(self.arity)}X")
+    def arity(self) -> int:
+        return self.gate.arity
+
+    @property
+    def code(self) -> int:
+        return self.gate.code
 
 
 @dataclass(frozen=True)
@@ -147,25 +138,16 @@ def _decimal6(value: Fraction) -> str:
 
 def _compute_row(arity: int, code: int, with_closures: bool) -> CensusRow:
     tt = TruthTable(arity, code)
-    flags = classify(tt)
     closure_plain = closure_const = None
     if with_closures:
         closure_plain = generate_closure(tt, False, witnesses=False).count
         closure_const = generate_closure(tt, True, witnesses=False).count
-    fast = hex_fast_track(tt) if arity >= 3 else None
+    flags = classify(tt)
     return CensusRow(
-        arity=arity,
-        code=code,
-        preserves_zero=flags.preserves_zero,
-        preserves_one=flags.preserves_one,
-        self_dual=flags.self_dual,
-        monotone=flags.monotone,
-        affine=flags.affine,
-        universal_alone=flags.universal_alone,
-        universal_with_constants=flags.universal_with_constants,
+        *(getattr(flags, name) for name in flags.__match_args__),
         closure_plain=closure_plain,
         closure_const=closure_const,
-        fast_track=fast,
+        fast_track=hex_fast_track(tt) if arity >= 3 else None,
     )
 
 
@@ -216,30 +198,25 @@ def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     return CensusTable(arity=arity, rows=tuple(rows))
 
 
-def _render_field(row: CensusRow, field: str) -> str:
+def _field_value(row: CensusRow, field: str) -> object:
+    """The JSON value of one census column."""
     if field == "code":
-        return row.hex_code
-    if field in ("t0", "t1", "selfdual", "monotone", "affine",
-                 "universal_alone", "universal_with_constants"):
-        attr = {
-            "t0": row.preserves_zero,
-            "t1": row.preserves_one,
-            "selfdual": row.self_dual,
-            "monotone": row.monotone,
-            "affine": row.affine,
-            "universal_alone": row.universal_alone,
-            "universal_with_constants": row.universal_with_constants,
-        }[field]
-        return "1" if attr else "0"
-    if field == "closure_plain":
-        return "" if row.closure_plain is None else str(row.closure_plain)
-    if field == "closure_const":
-        return "" if row.closure_const is None else str(row.closure_const)
+        return row.gate.to_hex()
+    if field not in CSV_FIELDS:
+        raise ValueError(f"unknown census field {field!r}")
+    return getattr(row, _FLAG_ATTRS.get(field, field))
+
+
+def _render_field(row: CensusRow, field: str) -> str:
+    """The CSV cell of one census column."""
+    value = _field_value(row, field)
+    if value is None:
+        return ""
     if field == "fast_track":
-        if row.fast_track is None:
-            return ""
-        return "confirmed" if row.fast_track else "inconclusive"
-    raise ValueError(f"unknown census field {field!r}")
+        return "confirmed" if value else "inconclusive"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
 
 
 def render_csv(table: CensusTable) -> str:
@@ -252,23 +229,7 @@ def render_csv(table: CensusTable) -> str:
 
 def render_json(table: CensusTable) -> str:
     """Deterministic JSON text mirroring the CSV columns."""
-    rows = []
-    for row in table.rows:
-        rows.append(
-            {
-                "code": row.hex_code,
-                "t0": row.preserves_zero,
-                "t1": row.preserves_one,
-                "selfdual": row.self_dual,
-                "monotone": row.monotone,
-                "affine": row.affine,
-                "universal_alone": row.universal_alone,
-                "universal_with_constants": row.universal_with_constants,
-                "closure_plain": row.closure_plain,
-                "closure_const": row.closure_const,
-                "fast_track": row.fast_track,
-            }
-        )
+    rows = [{f: _field_value(row, f) for f in CSV_FIELDS} for row in table.rows]
     return json.dumps({"arity": table.arity, "rows": rows}, indent=2) + "\n"
 
 

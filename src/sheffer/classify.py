@@ -12,14 +12,23 @@ from dataclasses import dataclass
 
 from .bitfunc import TruthTable, variable_pattern
 
-#: The six 2-input gates that are universal once constants are available.
-UNIVERSAL_WITH_CONSTANTS_2 = frozenset({0x1, 0x2, 0x4, 0x7, 0xB, 0xD})
+#: (report column, `Classification` attribute) for every flag, in the
+#: order the CSV, JSON and CLI renderings list them.
+FLAG_FIELDS = (
+    ("t0", "preserves_zero"),
+    ("t1", "preserves_one"),
+    ("selfdual", "self_dual"),
+    ("monotone", "monotone"),
+    ("affine", "affine"),
+    ("universal_alone", "universal_alone"),
+    ("universal_with_constants", "universal_with_constants"),
+)
 
-#: Hex digits whose presence in an encoding certifies the gate above.
-FAST_TRACK_DIGITS = frozenset("1247BD")
 
-
-@dataclass(frozen=True)
+# Slotted and pickled as its constructor call, like `TruthTable`: the
+# census rows subclass it.  The frozen-slots default pickling runs
+# Python code per field and is about twice as slow.
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Post-class flags plus both universality verdicts for one gate."""
 
@@ -31,6 +40,9 @@ class Classification:
     affine: bool
     universal_alone: bool
     universal_with_constants: bool
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def preserves_zero(tt: TruthTable) -> bool:
@@ -125,15 +137,14 @@ def universality_scan(tt: TruthTable) -> bool:
 def hex_fast_track(tt: TruthTable) -> bool:
     """Sufficient test for universality with constants, from the encoding.
 
-    At three inputs, any hex digit in {1, 2, 4, 7, B, D} certifies the
-    verdict: each digit is a 2-input cofactor, and a cofactor that is
-    universal with constants forces the whole gate to be.  At four or
-    more inputs the same argument applies to the two encoding halves,
-    which are the cofactors on the leading variable.  Returns True only
-    when certified; False is inconclusive, never a contrary verdict.
+    The two halves of the encoding are the cofactors on the leading
+    variable A (low half A=0, high half A=1), and a cofactor that is
+    universal with constants forces the whole gate to be.  At three
+    inputs the halves are the two hex digits, so the test reads "some
+    digit is in {1, 2, 4, 7, B, D}", the six 2-input gates universal
+    with constants.  Returns True only when certified; False is
+    inconclusive, never a contrary verdict.
     """
     if tt.arity < 3:
         raise ValueError("the fast track needs at least 3 inputs")
-    if tt.arity == 3:
-        return any(d in FAST_TRACK_DIGITS for d in tt.to_hex())
     return any(universal_with_constants(tt.cofactor(0, b)) for b in (0, 1))

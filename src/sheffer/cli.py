@@ -8,13 +8,14 @@ internal limit is hit, such as a 4-input closure without a budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Sequence
 
 from .bitfunc import TruthTable, hex_width
 from .census import emit_report, enumerate_all, universal_count
-from .classify import classify
+from .classify import FLAG_FIELDS, classify
 from .closure import ClosureBudgetError, circuit_to_json, generate_closure, synthesize
 from .mux import mux_decompose, mux_to_dot, mux_to_json
 
@@ -75,25 +76,12 @@ def _flag(value: bool) -> str:
 def _cmd_classify(args: argparse.Namespace) -> int:
     tt = _resolve_gate(args.gate, args.arity)
     c = classify(tt)
-    result = {
-        "t0": c.preserves_zero,
-        "t1": c.preserves_one,
-        "selfdual": c.self_dual,
-        "monotone": c.monotone,
-        "affine": c.affine,
-        "universal_alone": c.universal_alone,
-        "universal_with_constants": c.universal_with_constants,
-    }
-    lines = [
-        f"gate {tt.to_hex()} ({tt.arity} inputs)",
-        f"  preserves_zero            {_flag(c.preserves_zero)}",
-        f"  preserves_one             {_flag(c.preserves_one)}",
-        f"  self_dual                 {_flag(c.self_dual)}",
-        f"  monotone                  {_flag(c.monotone)}",
-        f"  affine                    {_flag(c.affine)}",
-        f"  universal alone           {_flag(c.universal_alone)}",
-        f"  universal with constants  {_flag(c.universal_with_constants)}",
-    ]
+    result = {column: getattr(c, attr) for column, attr in FLAG_FIELDS}
+    lines = [f"gate {tt.to_hex()} ({tt.arity} inputs)"]
+    for _, attr in FLAG_FIELDS:
+        # The two verdicts read as phrases; the class flags keep their names.
+        label = attr.replace("_", " ") if attr.startswith("universal") else attr
+        lines.append(f"  {label:<26}{_flag(getattr(c, attr))}")
     _emit(args, "classify", {"gate": tt.to_hex(), "arity": tt.arity}, result, lines)
     return 0
 
@@ -189,31 +177,48 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the int-to-decimal digit limit, which counts past N=13 exceed."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.max_n is not None:
-        lines = ["n,universal,total,ratio"]
-        for n in range(2, args.max_n + 1):
-            r = universal_count(n)
-            lines.append(f"{n},{r.universal},{r.gate_count},{r.ratio_decimal}")
-        print("\n".join(lines))
+    # Argv was parsed under the digit limit; only the rendering lifts it.
+    with _unlimited_int_digits():
+        if args.max_n is not None:
+            lines = ["n,universal,total,ratio"]
+            for n in range(2, args.max_n + 1):
+                r = universal_count(n)
+                lines.append(f"{n},{r.universal},{r.gate_count},{r.ratio_decimal}")
+            print("\n".join(lines))
+            return 0
+        r = universal_count(args.n)
+        result = {
+            "n": r.n,
+            "input_combinations": r.input_combinations,
+            "gate_count": r.gate_count,
+            "endpoint_free": r.endpoint_free,
+            "universal": r.universal,
+            "ratio": {"num": r.ratio.numerator, "den": r.ratio.denominator},
+            "ratio_decimal": r.ratio_decimal,
+        }
+        lines = [
+            f"N={r.n}: inputs={r.input_combinations} gates={r.gate_count} "
+            f"endpoint-free={r.endpoint_free} U={r.universal} "
+            f"ratio={r.ratio.numerator}/{r.ratio.denominator} ({r.ratio_decimal})"
+        ]
+        _emit(args, "count", {"n": r.n}, result, lines)
         return 0
-    r = universal_count(args.n)
-    result = {
-        "n": r.n,
-        "input_combinations": r.input_combinations,
-        "gate_count": r.gate_count,
-        "endpoint_free": r.endpoint_free,
-        "universal": r.universal,
-        "ratio": {"num": r.ratio.numerator, "den": r.ratio.denominator},
-        "ratio_decimal": r.ratio_decimal,
-    }
-    lines = [
-        f"N={r.n}: inputs={r.input_combinations} gates={r.gate_count} "
-        f"endpoint-free={r.endpoint_free} U={r.universal} "
-        f"ratio={r.ratio.numerator}/{r.ratio.denominator} ({r.ratio_decimal})"
-    ]
-    _emit(args, "count", {"n": r.n}, result, lines)
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -269,16 +274,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "count" and args.n is None and args.max_n is None:
             raise _UsageError("count needs --n or --max-n")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ClosureBudgetError as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bitfunc import TruthTable, compose_codes, projection, variable_pattern
+from .bitfunc import TruthTable, compose_codes, variable_pattern
 
 __all__ = [
     "Circuit",
@@ -89,9 +89,11 @@ class ClosureReport:
 
     def realized_codes(self) -> Iterator[int]:
         """Realized codes in ascending order."""
-        for code in range(1 << self.generator.n_rows):
-            if (self.realized >> code) & 1:
-                yield code
+        bits = bin(self.realized)[:1:-1]  # bit i of `realized` at index i
+        code = bits.find("1")
+        while code >= 0:
+            yield code
+            code = bits.find("1", code + 1)
 
 
 def seed_codes(arity: int, constants_enabled: bool) -> list[int]:
@@ -385,6 +387,11 @@ def synthesize(
     return report.witnesses.get(target.code)
 
 
+def _is_index(value: object, bound: int) -> bool:
+    """True iff `value` is an int in 0..bound-1; floats and strings are not."""
+    return isinstance(value, int) and 0 <= value < bound
+
+
 def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:
     """Evaluate a witness circuit bottom-up under `generator`.
 
@@ -398,32 +405,31 @@ def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:
         )
     if not circuit.nodes:
         raise ValueError("circuit has no nodes")
-    if not 0 <= circuit.root < len(circuit.nodes):
+    if not _is_index(circuit.root, len(circuit.nodes)):
         raise ValueError(f"root {circuit.root} out of range")
     n = generator.arity
     full_mask = (1 << (1 << n)) - 1
     codes: list[int] = []
     for i, node in enumerate(circuit.nodes):
-        kind = node[0]
+        try:
+            kind, operand = node
+        except (TypeError, ValueError):
+            raise ValueError(f"node {i}: expected an (op, operand) pair, got {node!r}") from None
         if kind == "input":
-            var = node[1]
-            if not 0 <= var < n:
-                raise ValueError(f"node {i}: input variable {var} out of range")
-            codes.append(variable_pattern(n, n - 1 - var))
+            if not _is_index(operand, n):
+                raise ValueError(f"node {i}: input variable {operand!r} out of range")
+            codes.append(variable_pattern(n, n - 1 - operand))
         elif kind == "const":
-            if node[1] not in (0, 1):
+            if operand not in (0, 1):
                 raise ValueError(f"node {i}: constant must be 0 or 1")
-            codes.append(full_mask if node[1] else 0)
+            codes.append(full_mask if operand else 0)
         elif kind == "apply":
-            children = node[1]
-            if len(children) != n:
-                raise ValueError(
-                    f"node {i}: expected {n} children, got {len(children)}"
-                )
-            if any(not 0 <= c < i for c in children):
+            if not isinstance(operand, (tuple, list)) or len(operand) != n:
+                raise ValueError(f"node {i}: expected {n} children, got {operand!r}")
+            if not all(_is_index(c, i) for c in operand):
                 raise ValueError(f"node {i}: children must reference earlier nodes")
             codes.append(
-                compose_codes(generator.code, n, [codes[c] for c in children], n)
+                compose_codes(generator.code, n, [codes[c] for c in operand], n)
             )
         else:
             raise ValueError(f"node {i}: unknown op {kind!r}")
@@ -458,16 +464,20 @@ def circuit_from_json(data: dict) -> tuple[Circuit, TruthTable]:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit object: {exc}") from exc
     nodes: list[Node] = []
-    for entry in raw_nodes:
-        op = entry.get("op")
-        if op == "input":
-            nodes.append(("input", int(entry["var"])))
-        elif op in ("const0", "const1"):
-            nodes.append(("const", int(op[-1])))
-        elif op == "apply":
-            nodes.append(("apply", tuple(int(a) for a in entry["args"])))
-        else:
-            raise ValueError(f"unknown node op {op!r}")
-    circuit = Circuit(arity, tuple(nodes), int(root))
+    try:
+        for entry in raw_nodes:
+            op = entry.get("op")
+            if op == "input":
+                nodes.append(("input", int(entry["var"])))
+            elif op in ("const0", "const1"):
+                nodes.append(("const", int(op[-1])))
+            elif op == "apply":
+                nodes.append(("apply", tuple(int(a) for a in entry["args"])))
+            else:
+                raise ValueError(f"unknown node op {op!r}")
+        root = int(root)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed circuit object: {exc}") from exc
+    circuit = Circuit(arity, tuple(nodes), root)
     verify_circuit(circuit, generator)  # structural validation
     return circuit, generator

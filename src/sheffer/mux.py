@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bitfunc import TruthTable
-from .classify import UNIVERSAL_WITH_CONSTANTS_2
+from .classify import universal_with_constants
 
 __all__ = [
     "MuxCircuit",
@@ -113,7 +113,7 @@ def universality_from_leaves(mux: MuxCircuit) -> bool:
     """
     if any(leaf.arity != 2 for leaf in mux.leaves):
         raise ValueError("leaf universality check needs 2-input leaves")
-    return any(leaf.code in UNIVERSAL_WITH_CONSTANTS_2 for leaf in mux.leaves)
+    return any(universal_with_constants(leaf) for leaf in mux.leaves)
 
 
 def mux_to_json(mux: MuxCircuit) -> dict:

@@ -42,11 +42,6 @@ def census2():
 
 
 @pytest.fixture(scope="session")
-def census3():
-    return enumerate_all(3)
-
-
-@pytest.fixture(scope="session")
 def census4():
     return enumerate_all(4)
 

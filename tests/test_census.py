@@ -1,9 +1,12 @@
 import io
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from sheffer.census import (
+    CSV_FIELDS,
     CSV_HEADER,
     diff_against_reference,
     emit_report,
@@ -121,6 +124,12 @@ def test_workers_do_not_change_output(census2):
     assert render_csv(parallel) == render_csv(census2)
 
 
+def test_rows_survive_pickling(census3):
+    # Census workers send their rows back pickled.
+    rows = census3.rows
+    assert pickle.loads(pickle.dumps(rows)) == rows
+
+
 def test_ulg_threads_cap(monkeypatch, census2):
     monkeypatch.setenv("ULG_THREADS", "1")
     capped = enumerate_all(2, workers=8)
@@ -180,3 +189,24 @@ def test_reference_path_unknown():
 
 def test_render_json_deterministic(census2):
     assert render_json(census2) == render_json(census2)
+
+
+def _csv_cell(field, value):
+    if value is None:
+        return ""
+    if field == "fast_track":
+        return "confirmed" if value else "inconclusive"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return str(value)
+
+
+def test_render_json_mirrors_csv(census3):
+    data = json.loads(render_json(census3))
+    assert data["arity"] == 3
+    lines = render_csv(census3).splitlines()
+    assert len(data["rows"]) == len(lines) - 1 == 256
+    for row, line in zip(data["rows"], lines[1:]):
+        assert list(row) == list(CSV_FIELDS)
+        cells = line.split(",")
+        assert [_csv_cell(f, v) for f, v in row.items()] == cells

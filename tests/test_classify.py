@@ -18,6 +18,9 @@ from sheffer.classify import (
 
 SELF_DUAL_ENDPOINT_FREE_N3 = {0x0F, 0x17, 0x2B, 0x33, 0x4D, 0x55, 0x69, 0x71}
 
+#: The paper's fast-track digits: the 2-input gates universal with constants.
+PAPER_DIGITS = frozenset("1247BD")
+
 
 def gate(text, arity):
     return TruthTable.from_hex(text, arity)
@@ -196,6 +199,19 @@ def test_fast_track_no_false_positives_n3():
         tt = TruthTable(3, code)
         if hex_fast_track(tt):
             assert universal_with_constants(tt)
+
+
+def test_universal_with_constants_n2_is_the_paper_digit_set():
+    certified = {TruthTable(2, code).to_hex() for code in range(16)
+                 if universal_with_constants(TruthTable(2, code))}
+    assert certified == PAPER_DIGITS
+
+
+def test_fast_track_n3_is_the_paper_digit_rule():
+    # At three inputs the two hex digits are the cofactors on A.
+    for code in range(256):
+        tt = TruthTable(3, code)
+        assert hex_fast_track(tt) == any(d in PAPER_DIGITS for d in tt.to_hex())
 
 
 def test_fast_track_needs_three_inputs():

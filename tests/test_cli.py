@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -47,6 +49,29 @@ def test_count_series(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "n,universal,total,ratio"
     assert lines[2].startswith("3,56,256,0.218750")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--n", "14"], ["--n", "15"], ["--n", "16"], ["--n", "16", "--json"], ["--max-n", "16"]],
+)
+def test_count_beyond_int_digit_limit(capsys, argv):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 0 and err == ""
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    if "--json" in argv:
+        # Decimal parses the 19,729-digit value without int's digit limit.
+        data = json.loads(out, parse_int=Decimal)
+        assert data["result"]["gate_count"] == 1 << 65536
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int digit limit")
+def test_count_argv_keeps_int_digit_limit(capsys):
+    code, _, err = run(capsys, "count", "--n", "1" * (sys.get_int_max_str_digits() + 1))
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_count_needs_n(capsys):

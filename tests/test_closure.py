@@ -10,6 +10,7 @@ from sheffer.classify import universal_alone
 from sheffer.closure import (
     Circuit,
     ClosureBudgetError,
+    ClosureReport,
     circuit_from_json,
     circuit_to_json,
     generate_closure,
@@ -192,6 +193,42 @@ def test_verify_circuit_rejects_malformed():
         verify_circuit(Circuit(3, (("input", 0),), 0), nand)
 
 
+def _nand_json(nodes):
+    return {"generator": "7", "arity": 2, "nodes": nodes, "root": 0}
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        pytest.param(lambda: circuit_from_json(_nand_json([{"op": "input"}])),
+                     id="json-input-without-var"),
+        pytest.param(lambda: circuit_from_json(_nand_json(["input"])),
+                     id="json-node-not-a-dict"),
+        pytest.param(lambda: circuit_from_json(_nand_json([{"op": "apply", "args": 5}])),
+                     id="json-args-not-a-list"),
+        pytest.param(lambda: circuit_from_json(_nand_json(5)), id="json-nodes-not-a-list"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("input",),), 0), gate("7", 2)),
+                     id="node-input-without-var"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("apply",),), 0), gate("7", 2)),
+                     id="node-apply-without-args"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("const",),), 0), gate("7", 2)),
+                     id="node-const-without-bit"),
+        pytest.param(lambda: verify_circuit(Circuit(2, ((),), 0), gate("7", 2)),
+                     id="node-empty"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("input", 1.0),), 0), gate("7", 2)),
+                     id="node-input-float-var"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("input", 0), ("apply", (0.0, 0))), 1),
+                                            gate("7", 2)),
+                     id="node-apply-float-child"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("input", 0),), 0.0), gate("7", 2)),
+                     id="root-float"),
+    ],
+)
+def test_malformed_circuits_raise_value_error(parse):
+    with pytest.raises(ValueError):
+        parse()
+
+
 def test_circuit_json_round_trip():
     nand = gate("7", 2)
     circuit = synthesize(nand, gate("6", 2))
@@ -269,3 +306,19 @@ def test_four_inputs_budgeted_lower_bound():
 def test_arity_five_rejected():
     with pytest.raises(ValueError):
         generate_closure(TruthTable(5, 1))
+
+
+@pytest.mark.parametrize(
+    "text,arity,constants,budget",
+    [("0", 2, False, None), ("7", 2, False, None), ("E8", 3, False, None),
+     ("2B", 3, True, None), ("4685", 4, False, 64), ("4685", 4, True, 64)],
+)
+def test_realized_codes_matches_is_realized(text, arity, constants, budget):
+    report = generate_closure(gate(text, arity), constants, witnesses=False, budget=budget)
+    expected = [c for c in range(1 << (1 << arity)) if report.is_realized(c)]
+    assert list(report.realized_codes()) == expected
+
+
+def test_realized_codes_empty():
+    report = ClosureReport(gate("0", 2), False, 0, 0, 0, True, None)
+    assert list(report.realized_codes()) == []

@@ -79,6 +79,15 @@ def test_universality_from_leaves_never_contradicts():
             assert universal_with_constants(tt)
 
 
+def test_universality_from_leaves_is_the_paper_digit_rule():
+    digits = frozenset("1247BD")
+    for code in range(256):
+        for select in range(3):
+            mux = mux_decompose(TruthTable(3, code), [select])
+            expected = any(leaf.to_hex() in digits for leaf in mux.leaves)
+            assert universality_from_leaves(mux) == expected
+
+
 def test_universality_needs_two_input_leaves():
     mux = mux_decompose(gate("4685", 4), [0])  # 3-input leaves
     with pytest.raises(ValueError):
