@@ -25,7 +25,7 @@ def hex_width(arity: int) -> int:
 
 
 def _check_arity(arity: int) -> None:
-    if not isinstance(arity, int) or not 1 <= arity <= MAX_ARITY:
+    if not isinstance(arity, int) or isinstance(arity, bool) or not 1 <= arity <= MAX_ARITY:
         raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity!r}")
 
 

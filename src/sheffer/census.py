@@ -2,15 +2,23 @@
 
 A census classifies every gate of one arity; through three inputs it
 also carries both exact closure counts, which is what the checked-in
-reference data under ``sheffer/data`` is diffed against.  The counting
-identities give the number of standalone-universal gates in closed form:
-with G = 2**(2**N) gates in total, G/4 fix neither constant input row
-and sqrt(G/4) of those are self-dual, so U = G/4 - sqrt(G/4) exactly.
+reference data under ``sheffer/data`` is diffed against.  A closure
+count belongs to the clone a gate generates, and that clone is the same
+for every input permutation of the gate, while the gate's dual generates
+the dual clone, which has the same size (projections are self-dual and
+the constants 0 and 1 swap).  So the enumerator runs once per class of
+gates under input permutation and duality (46 classes for the 256
+three-input gates), and every member of a class takes its counts.  The
+counting identities give the number of standalone-universal gates in
+closed form: with G = 2**(2**N) gates in total, G/4 fix neither
+constant input row and sqrt(G/4) of those are self-dual, so
+U = G/4 - sqrt(G/4) exactly.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -30,6 +38,7 @@ __all__ = [
     "CountReport",
     "Divergence",
     "CSV_FIELDS",
+    "class_keys",
     "enumerate_all",
     "universal_count",
     "universal_ratio",
@@ -136,12 +145,39 @@ def _decimal6(value: Fraction) -> str:
     return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def _compute_row(arity: int, code: int, with_closures: bool) -> CensusRow:
+def class_keys(arity: int) -> tuple[int, ...]:
+    """Per code, the smallest code among its input permutations and their duals.
+
+    Gates with the same key generate clones of the same size, with and
+    without constants, so one closure per key serves the whole class.
+    """
+    n_codes = 1 << (1 << arity)
+    keys: dict[int, int] = {}
+    perms = list(itertools.permutations(range(arity)))
+    for code in range(n_codes):
+        if code in keys:
+            continue
+        # Codes are visited in ascending order, so the first member of a
+        # class to be reached is its smallest.
+        gate = TruthTable(arity, code)
+        for perm in perms:
+            image = gate.permute(perm)
+            keys[image.code] = keys[image.dual().code] = code
+    return tuple(keys[code] for code in range(n_codes))
+
+
+def _closure_counts(args: tuple[int, int]) -> tuple[int, int]:
+    """Closure counts of one gate, without and with constants."""
+    arity, code = args
     tt = TruthTable(arity, code)
-    closure_plain = closure_const = None
-    if with_closures:
-        closure_plain = generate_closure(tt, False, witnesses=False).count
-        closure_const = generate_closure(tt, True, witnesses=False).count
+    plain = generate_closure(tt, False, witnesses=False).count
+    const = generate_closure(tt, True, witnesses=False).count
+    return plain, const
+
+
+def _compute_row(arity: int, code: int, closure_plain: int | None = None,
+                 closure_const: int | None = None) -> CensusRow:
+    tt = TruthTable(arity, code)
     flags = classify(tt)
     return CensusRow(
         *(getattr(flags, name) for name in flags.__match_args__),
@@ -151,9 +187,9 @@ def _compute_row(arity: int, code: int, with_closures: bool) -> CensusRow:
     )
 
 
-def _chunk_rows(args: tuple[int, int, int, bool]) -> list[CensusRow]:
-    arity, lo, hi, with_closures = args
-    return [_compute_row(arity, code, with_closures) for code in range(lo, hi)]
+def _chunk_rows(args: tuple[int, int, int]) -> list[CensusRow]:
+    arity, lo, hi = args
+    return [_compute_row(arity, code) for code in range(lo, hi)]
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -168,33 +204,43 @@ def _resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
+def _fan_out(fn, tasks: list, workers: int) -> list:
+    """`fn` over `tasks`, in order, on up to `workers` processes."""
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     """Census every gate of one arity (2..4).
 
     Closure counts are computed only through three inputs; at four the
     columns are omitted (the flag predicates stand in, having been
-    proven equivalent at the exhaustive arities).  Row computations are
-    independent, so they may fan out across `workers` processes (capped
-    by the ULG_THREADS environment variable); output is assembled in
-    code order and is identical for any worker count.
+    proven equivalent at the exhaustive arities).  Through three inputs
+    the closures run once per `class_keys` class, which is exact because
+    input permutation and duality preserve both counts; at four the rows
+    themselves are the work.  Either may fan out across `workers`
+    processes (capped by the ULG_THREADS environment variable); rows are
+    assembled in code order and output is byte-identical for any worker
+    count.
     """
     if arity not in (2, 3, 4):
         raise ValueError(f"census supports arities 2..4, got {arity}")
-    with_closures = arity <= 3
     n_codes = 1 << (1 << arity)
     workers = _resolve_workers(workers)
-    if workers <= 1 or n_codes <= 16:
-        rows = _chunk_rows((arity, 0, n_codes, with_closures))
+    if n_codes <= 16:  # too small to be worth a process pool
+        workers = 1
+    if arity <= 3:
+        keys = class_keys(arity)
+        representatives = sorted(set(keys))
+        tasks = [(arity, code) for code in representatives]
+        counts = dict(zip(representatives, _fan_out(_closure_counts, tasks, workers)))
+        rows = [_compute_row(arity, code, *counts[keys[code]]) for code in range(n_codes)]
     else:
         chunk = max(1, n_codes // (workers * 4))
-        tasks = [
-            (arity, lo, min(lo + chunk, n_codes), with_closures)
-            for lo in range(0, n_codes, chunk)
-        ]
-        rows = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_chunk_rows, tasks):
-                rows.extend(part)
+        tasks = [(arity, lo, min(lo + chunk, n_codes)) for lo in range(0, n_codes, chunk)]
+        rows = [row for part in _fan_out(_chunk_rows, tasks, workers) for row in part]
     return CensusTable(arity=arity, rows=tuple(rows))
 
 

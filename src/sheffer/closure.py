@@ -388,8 +388,8 @@ def synthesize(
 
 
 def _is_index(value: object, bound: int) -> bool:
-    """True iff `value` is an int in 0..bound-1; floats and strings are not."""
-    return isinstance(value, int) and 0 <= value < bound
+    """True iff `value` is an int in 0..bound-1; bools, floats and strings are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
 
 
 def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:
@@ -406,7 +406,7 @@ def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:
     if not circuit.nodes:
         raise ValueError("circuit has no nodes")
     if not _is_index(circuit.root, len(circuit.nodes)):
-        raise ValueError(f"root {circuit.root} out of range")
+        raise ValueError(f"root {circuit.root!r} out of range")
     n = generator.arity
     full_mask = (1 << (1 << n)) - 1
     codes: list[int] = []
@@ -420,7 +420,7 @@ def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:
                 raise ValueError(f"node {i}: input variable {operand!r} out of range")
             codes.append(variable_pattern(n, n - 1 - operand))
         elif kind == "const":
-            if operand not in (0, 1):
+            if not _is_index(operand, 2):
                 raise ValueError(f"node {i}: constant must be 0 or 1")
             codes.append(full_mask if operand else 0)
         elif kind == "apply":
@@ -468,16 +468,16 @@ def circuit_from_json(data: dict) -> tuple[Circuit, TruthTable]:
         for entry in raw_nodes:
             op = entry.get("op")
             if op == "input":
-                nodes.append(("input", int(entry["var"])))
+                nodes.append(("input", entry["var"]))
             elif op in ("const0", "const1"):
                 nodes.append(("const", int(op[-1])))
             elif op == "apply":
-                nodes.append(("apply", tuple(int(a) for a in entry["args"])))
+                nodes.append(("apply", tuple(entry["args"])))
             else:
                 raise ValueError(f"unknown node op {op!r}")
-        root = int(root)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed circuit object: {exc}") from exc
     circuit = Circuit(arity, tuple(nodes), root)
-    verify_circuit(circuit, generator)  # structural validation
+    # Structural validation; it also rejects indexes that are not ints.
+    verify_circuit(circuit, generator)
     return circuit, generator

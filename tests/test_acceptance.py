@@ -158,6 +158,17 @@ def test_criterion_6_oracle_predicate_equivalence(census2, census3):
                 f"scan agrees on {scanned} 4-input codes")
 
 
+def test_class_cached_closure_counts_match_per_gate(census2, census3, reports2, reports3):
+    # The census computes closures once per permutation/duality class;
+    # the reports ran the enumerator on every gate.
+    for census, reports in ((census2, reports2), (census3, reports3)):
+        for row in census.rows:
+            assert row.closure_plain == reports[(row.code, False)].count, row.gate
+            assert row.closure_const == reports[(row.code, True)].count, row.gate
+    report_line("class cache", True,
+                "census closure counts equal per-gate closures for all 272 gates")
+
+
 def _fixed_point_holds(report, samples=10_000, seed=1234):
     codes = list(report.realized_codes())
     if not codes:

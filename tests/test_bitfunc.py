@@ -62,6 +62,14 @@ def test_decode_rejects_bad_input():
         TruthTable.from_hex("7" * 32, 7)
 
 
+def test_bool_arity_rejected():
+    # bool is an int subclass, so True would otherwise pass as arity 1.
+    with pytest.raises(ValueError):
+        TruthTable(True, 1)
+    with pytest.raises(ValueError):
+        TruthTable.from_hex("1", True)
+
+
 def test_code_bit_orientation():
     tt = TruthTable.from_hex("85", 3)
     assert tt.row(0) == tt.code & 1

@@ -1,13 +1,16 @@
 import io
+import itertools
 import json
 import pickle
 from fractions import Fraction
 
 import pytest
 
+from sheffer.bitfunc import TruthTable
 from sheffer.census import (
     CSV_FIELDS,
     CSV_HEADER,
+    class_keys,
     diff_against_reference,
     emit_report,
     enumerate_all,
@@ -122,6 +125,27 @@ def test_emit_io_error(census2, tmp_path):
 def test_workers_do_not_change_output(census2):
     parallel = enumerate_all(2, workers=2)
     assert render_csv(parallel) == render_csv(census2)
+
+
+def test_process_pool_does_not_change_output(monkeypatch):
+    # A 2-input census is always serial; three inputs take the pool path.
+    monkeypatch.delenv("ULG_THREADS", raising=False)
+    assert render_csv(enumerate_all(3, workers=2)) == render_csv(enumerate_all(3, workers=1))
+
+
+@pytest.mark.parametrize("arity,classes", [(2, 7), (3, 46)])
+def test_class_keys_are_orbit_minima(arity, classes):
+    keys = class_keys(arity)
+    assert len(keys) == 1 << (1 << arity)
+    assert len(set(keys)) == classes
+    for code, key in enumerate(keys):
+        gate = TruthTable(arity, code)
+        images = set()
+        for perm in itertools.permutations(range(arity)):
+            image = gate.permute(perm)
+            images |= {image.code, image.dual().code}
+        assert key == min(images)
+        assert {keys[c] for c in images} == {key}
 
 
 def test_rows_survive_pickling(census3):

@@ -193,8 +193,14 @@ def test_verify_circuit_rejects_malformed():
         verify_circuit(Circuit(3, (("input", 0),), 0), nand)
 
 
-def _nand_json(nodes):
-    return {"generator": "7", "arity": 2, "nodes": nodes, "root": 0}
+def _nand_json(nodes, root=0):
+    return {"generator": "7", "arity": 2, "nodes": nodes, "root": root}
+
+
+def _nand_of_inputs(args=(0, 1)):
+    """NAND applied to A and B: node 2 is the root."""
+    return [{"op": "input", "var": 0}, {"op": "input", "var": 1},
+            {"op": "apply", "args": list(args)}]
 
 
 @pytest.mark.parametrize(
@@ -207,6 +213,25 @@ def _nand_json(nodes):
         pytest.param(lambda: circuit_from_json(_nand_json([{"op": "apply", "args": 5}])),
                      id="json-args-not-a-list"),
         pytest.param(lambda: circuit_from_json(_nand_json(5)), id="json-nodes-not-a-list"),
+        pytest.param(lambda: circuit_from_json(_nand_json([{"op": "input", "var": 1.9}])),
+                     id="json-float-var"),
+        pytest.param(lambda: circuit_from_json(_nand_json([{"op": "input", "var": True}])),
+                     id="json-bool-var"),
+        pytest.param(lambda: circuit_from_json(_nand_json([{"op": "input", "var": "1"}])),
+                     id="json-string-var"),
+        pytest.param(lambda: circuit_from_json(_nand_json(_nand_of_inputs(), root=2.7)),
+                     id="json-float-root"),
+        pytest.param(lambda: circuit_from_json(_nand_json(_nand_of_inputs(), root="2")),
+                     id="json-string-root"),
+        pytest.param(lambda: circuit_from_json(_nand_json(_nand_of_inputs(), root=True)),
+                     id="json-bool-root"),
+        pytest.param(lambda: circuit_from_json(_nand_json(_nand_of_inputs((0.2, 1.0)), root=2)),
+                     id="json-float-args"),
+        pytest.param(lambda: circuit_from_json(_nand_json(_nand_of_inputs((False, True)), root=2)),
+                     id="json-bool-args"),
+        pytest.param(lambda: circuit_from_json({"generator": "2", "arity": True,
+                                                "nodes": [{"op": "input", "var": 0}], "root": 0}),
+                     id="json-bool-arity"),
         pytest.param(lambda: verify_circuit(Circuit(2, (("input",),), 0), gate("7", 2)),
                      id="node-input-without-var"),
         pytest.param(lambda: verify_circuit(Circuit(2, (("apply",),), 0), gate("7", 2)),
@@ -222,11 +247,21 @@ def _nand_json(nodes):
                      id="node-apply-float-child"),
         pytest.param(lambda: verify_circuit(Circuit(2, (("input", 0),), 0.0), gate("7", 2)),
                      id="root-float"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("const", 1.0),), 0), gate("7", 2)),
+                     id="node-const-float-bit"),
+        pytest.param(lambda: verify_circuit(Circuit(2, (("const", True),), 0), gate("7", 2)),
+                     id="node-const-bool-bit"),
     ],
 )
 def test_malformed_circuits_raise_value_error(parse):
     with pytest.raises(ValueError):
         parse()
+
+
+def test_well_formed_nand_json_parses():
+    # The malformed cases above differ from this circuit in one value.
+    circuit, generator = circuit_from_json(_nand_json(_nand_of_inputs(), root=2))
+    assert verify_circuit(circuit, generator) == gate("7", 2)
 
 
 def test_circuit_json_round_trip():
