@@ -7,11 +7,12 @@ the all-ones assignment.  Under this convention the hexadecimal rendering
 of 2-input NOR is "1", NAND is "7" and the 3-input majority gate is "E8".
 
 Every value here is immutable and every operation is pure, so tables can
-be shared freely between concurrent workers.
+be shared freely.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence
 
 MAX_ARITY = 6
@@ -29,8 +30,6 @@ def _check_arity(arity: int) -> None:
         raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity!r}")
 
 
-# Slotted, and pickled as its constructor call: a census row holds its
-# gate, and 65,536 rows cross from the census workers at four inputs.
 @dataclass(frozen=True, slots=True)
 class TruthTable:
     """An N-ary Boolean function as 2**N packed output bits.
@@ -44,14 +43,12 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_arity(self.arity)
-        if not isinstance(self.code, int) or not 0 <= self.code < (1 << self.n_rows):
+        if (not isinstance(self.code, int) or isinstance(self.code, bool)
+                or not 0 <= self.code < (1 << self.n_rows)):
             raise ValueError(
                 f"code must be in 0..{(1 << self.n_rows) - 1} for arity {self.arity}, "
                 f"got {self.code!r}"
             )
-
-    def __reduce__(self):
-        return TruthTable, (self.arity, self.code)
 
     @property
     def n_rows(self) -> int:
@@ -164,6 +161,7 @@ class TruthTable:
         return f"TruthTable({self.arity}, 0x{self.to_hex()})"
 
 
+@cache
 def variable_pattern(arity: int, bitpos: int) -> int:
     """Packed table whose bit r is set iff bit `bitpos` of r is set."""
     out = 0

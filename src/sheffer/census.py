@@ -2,14 +2,17 @@
 
 A census classifies every gate of one arity; through three inputs it
 also carries both exact closure counts, which is what the checked-in
-reference data under ``sheffer/data`` is diffed against.  A closure
-count belongs to the clone a gate generates, and that clone is the same
-for every input permutation of the gate, while the gate's dual generates
-the dual clone, which has the same size (projections are self-dual and
-the constants 0 and 1 swap).  So the enumerator runs once per class of
-gates under input permutation and duality (46 classes for the 256
-three-input gates), and every member of a class takes its counts.  The
-counting identities give the number of standalone-universal gates in
+reference data under ``sheffer/data`` is diffed against.  Post's
+completeness theorem settles the counts of complete gates: a gate that
+is universal alone (or with the constants) generates every function, and
+being non-constant it realizes each one as the output of a single
+application, so its count is the whole space of 2**(2**N) functions.
+The enumerator runs only for the other gates, and only once per class
+under input permutation and duality (46 classes for the 256 three-input
+gates): permuting a gate's inputs leaves the clone it generates
+unchanged, and the dual gate generates the dual clone, which has the
+same size (projections are self-dual and the constants 0 and 1 swap).
+The counting identities give the number of standalone-universal gates in
 closed form: with G = 2**(2**N) gates in total, G/4 fix neither
 constant input row and sqrt(G/4) of those are self-dual, so
 U = G/4 - sqrt(G/4) exactly.
@@ -21,7 +24,6 @@ import io
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -166,81 +168,59 @@ def class_keys(arity: int) -> tuple[int, ...]:
     return tuple(keys[code] for code in range(n_codes))
 
 
-def _closure_counts(args: tuple[int, int]) -> tuple[int, int]:
+def _closure_counts(flags: Classification) -> tuple[int, int]:
     """Closure counts of one gate, without and with constants."""
-    arity, code = args
-    tt = TruthTable(arity, code)
-    plain = generate_closure(tt, False, witnesses=False).count
-    const = generate_closure(tt, True, witnesses=False).count
+    gate = flags.gate
+    full = 1 << gate.n_rows
+    plain = (full if flags.universal_alone
+             else generate_closure(gate, False, witnesses=False).count)
+    const = (full if flags.universal_with_constants
+             else generate_closure(gate, True, witnesses=False).count)
     return plain, const
 
 
-def _compute_row(arity: int, code: int, closure_plain: int | None = None,
-                 closure_const: int | None = None) -> CensusRow:
-    tt = TruthTable(arity, code)
-    flags = classify(tt)
-    return CensusRow(
-        *(getattr(flags, name) for name in flags.__match_args__),
-        closure_plain=closure_plain,
-        closure_const=closure_const,
-        fast_track=hex_fast_track(tt) if arity >= 3 else None,
-    )
-
-
-def _chunk_rows(args: tuple[int, int, int]) -> list[CensusRow]:
-    arity, lo, hi = args
-    return [_compute_row(arity, code) for code in range(lo, hi)]
-
-
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
+def _check_thread_cap() -> None:
     cap = os.environ.get("ULG_THREADS")
     if cap is not None:
         try:
-            workers = min(workers, int(cap))
+            int(cap)
         except ValueError as exc:
             raise ValueError(f"ULG_THREADS must be an integer, got {cap!r}") from exc
-    return max(1, workers)
-
-
-def _fan_out(fn, tasks: list, workers: int) -> list:
-    """`fn` over `tasks`, in order, on up to `workers` processes."""
-    if workers <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
-    """Census every gate of one arity (2..4).
+    """Census every gate of one arity (2..4), in code order.
 
     Closure counts are computed only through three inputs; at four the
     columns are omitted (the flag predicates stand in, having been
-    proven equivalent at the exhaustive arities).  Through three inputs
-    the closures run once per `class_keys` class, which is exact because
-    input permutation and duality preserve both counts; at four the rows
-    themselves are the work.  Either may fan out across `workers`
-    processes (capped by the ULG_THREADS environment variable); rows are
-    assembled in code order and output is byte-identical for any worker
-    count.
+    proven equivalent at the exhaustive arities).  Complete gates take
+    the full-space count from their verdicts, and the other closures run
+    once per `class_keys` class, which is exact because input
+    permutation and duality preserve both counts.  The census runs in
+    this process: `workers` and the ULG_THREADS environment variable
+    have no effect, though a non-integer ULG_THREADS is still rejected.
     """
     if arity not in (2, 3, 4):
         raise ValueError(f"census supports arities 2..4, got {arity}")
-    n_codes = 1 << (1 << arity)
-    workers = _resolve_workers(workers)
-    if n_codes <= 16:  # too small to be worth a process pool
-        workers = 1
-    if arity <= 3:
-        keys = class_keys(arity)
-        representatives = sorted(set(keys))
-        tasks = [(arity, code) for code in representatives]
-        counts = dict(zip(representatives, _fan_out(_closure_counts, tasks, workers)))
-        rows = [_compute_row(arity, code, *counts[keys[code]]) for code in range(n_codes)]
-    else:
-        chunk = max(1, n_codes // (workers * 4))
-        tasks = [(arity, lo, min(lo + chunk, n_codes)) for lo in range(0, n_codes, chunk)]
-        rows = [row for part in _fan_out(_chunk_rows, tasks, workers) for row in part]
+    _check_thread_cap()
+    keys = class_keys(arity) if arity <= 3 else None
+    counts: dict[int, tuple[int, int]] = {}
+    rows = []
+    for code in range(1 << (1 << arity)):
+        tt = TruthTable(arity, code)
+        flags = classify(tt)
+        closure_plain = closure_const = None
+        if keys is not None:
+            # A class key is its smallest member, so it is reached first.
+            if keys[code] == code:
+                counts[code] = _closure_counts(flags)
+            closure_plain, closure_const = counts[keys[code]]
+        rows.append(CensusRow(
+            *(getattr(flags, name) for name in flags.__match_args__),
+            closure_plain=closure_plain,
+            closure_const=closure_const,
+            fast_track=hex_fast_track(tt) if arity >= 3 else None,
+        ))
     return CensusTable(arity=arity, rows=tuple(rows))
 
 

@@ -25,9 +25,6 @@ FLAG_FIELDS = (
 )
 
 
-# Slotted and pickled as its constructor call, like `TruthTable`: the
-# census rows subclass it.  The frozen-slots default pickling runs
-# Python code per field and is about twice as slow.
 @dataclass(frozen=True, slots=True)
 class Classification:
     """Post-class flags plus both universality verdicts for one gate."""
@@ -40,9 +37,6 @@ class Classification:
     affine: bool
     universal_alone: bool
     universal_with_constants: bool
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def preserves_zero(tt: TruthTable) -> bool:
@@ -147,4 +141,6 @@ def hex_fast_track(tt: TruthTable) -> bool:
     """
     if tt.arity < 3:
         raise ValueError("the fast track needs at least 3 inputs")
-    return any(universal_with_constants(tt.cofactor(0, b)) for b in (0, 1))
+    half = tt.n_rows // 2
+    halves = (tt.code & ((1 << half) - 1), tt.code >> half)
+    return any(universal_with_constants(TruthTable(tt.arity - 1, c)) for c in halves)

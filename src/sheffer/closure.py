@@ -20,6 +20,7 @@ trivially closed, so the report is identical to running to quiescence).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 _CHUNK_ELEMS = 1 << 22
+
+#: Largest product of trailing-axis sizes a block may sweep.  The block's
+#: intermediates span those axes before the lead axis is chunked, so a
+#: larger block stops the closure with complete=False instead.  Three
+#: inputs span at most 256**2 tuples, and four-input budgets up to 161 fit.
+_MAX_TRAILING = 1 << 22
 
 #: Circuit node forms: ("input", var), ("const", bit), ("apply", (child ids...)).
 Node = tuple
@@ -72,8 +79,8 @@ class ClosureReport:
 
     `realized` is a bitset over all 2**(2**N) codes; `witnesses`, when
     computed, maps each realized code to one minimal witness circuit.
-    `complete` is False only when a budget stopped the iteration early,
-    in which case `count` is a lower bound.
+    `complete` is False only when a budget or the sweep-size cap stopped
+    the iteration early, in which case `count` is a lower bound.
     """
 
     generator: TruthTable
@@ -200,17 +207,18 @@ def generate_closure(
     Exhaustive through three inputs.  Four-input runs must pass an
     explicit `budget` capping the working-set size; they report a lower
     bound (complete=False when the budget bites) and never witnesses.
+    A `budget` below 1 raises ValueError at every arity.
     """
     n = gate.arity
     if n > 4:
         raise ValueError(f"closure computation supports at most 4 inputs, got {n}")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     if n == 4:
         if budget is None:
             raise ClosureBudgetError(
                 "a 4-input closure needs an explicit working-set budget"
             )
-        if budget < 1:
-            raise ValueError(f"budget must be positive, got {budget}")
         witnesses = False
 
     m = 1 << n
@@ -242,6 +250,9 @@ def generate_closure(
             srcs = [old] * i + [frontier] + [current] * (n - 1 - i)
             if any(s.size == 0 for s in srcs):
                 continue
+            if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
+                complete = False
+                break
             hit_full = _sweep_block(
                 gate.code, n, rowmask, srcs, realized, new_this_round, pool, round_best
             )
@@ -255,7 +266,7 @@ def generate_closure(
                 pool.add(code, args)
 
         count = int(np.count_nonzero(realized))
-        if count == full or (hit_full and pool is None):
+        if count == full or (hit_full and pool is None) or not complete:
             break
 
         new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)

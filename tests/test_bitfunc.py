@@ -70,6 +70,13 @@ def test_bool_arity_rejected():
         TruthTable.from_hex("1", True)
 
 
+def test_bool_code_rejected():
+    with pytest.raises(ValueError):
+        TruthTable(2, True)
+    with pytest.raises(ValueError):
+        TruthTable(3, False)
+
+
 def test_code_bit_orientation():
     tt = TruthTable.from_hex("85", 3)
     assert tt.row(0) == tt.code & 1

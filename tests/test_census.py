@@ -128,7 +128,7 @@ def test_workers_do_not_change_output(census2):
 
 
 def test_process_pool_does_not_change_output(monkeypatch):
-    # A 2-input census is always serial; three inputs take the pool path.
+    # The census is serial; `workers` is still accepted and has no effect.
     monkeypatch.delenv("ULG_THREADS", raising=False)
     assert render_csv(enumerate_all(3, workers=2)) == render_csv(enumerate_all(3, workers=1))
 
@@ -149,7 +149,7 @@ def test_class_keys_are_orbit_minima(arity, classes):
 
 
 def test_rows_survive_pickling(census3):
-    # Census workers send their rows back pickled.
+    # Rows pickle through the slotted dataclasses' default state hooks.
     rows = census3.rows
     assert pickle.loads(pickle.dumps(rows)) == rows
 

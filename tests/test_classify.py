@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -212,6 +213,17 @@ def test_fast_track_n3_is_the_paper_digit_rule():
     for code in range(256):
         tt = TruthTable(3, code)
         assert hex_fast_track(tt) == any(d in PAPER_DIGITS for d in tt.to_hex())
+
+
+@pytest.mark.parametrize("arity", [4, 5, 6])
+def test_fast_track_is_the_cofactor_rule(arity):
+    # Beyond three inputs the halves of the code are no longer hex digits,
+    # so the fast track is checked against its definition instead.
+    rng = random.Random(arity)
+    for _ in range(300):
+        tt = TruthTable(arity, rng.getrandbits(1 << arity))
+        expected = any(universal_with_constants(tt.cofactor(0, b)) for b in (0, 1))
+        assert hex_fast_track(tt) == expected, tt
 
 
 def test_fast_track_needs_three_inputs():

@@ -121,6 +121,13 @@ def test_closure_four_inputs_needs_budget(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("text", ["7", "2B", "4685"])
+def test_closure_nonpositive_budget_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "closure", "--gate", text, "--budget", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err
+
+
 def test_closure_four_inputs_with_budget(capsys):
     code, out, _ = run(capsys, "closure", "--gate", "4685", "--budget", "16", "--json")
     assert code == 0

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import sheffer.closure as closure_mod
 from sheffer.bitfunc import TruthTable, compose_codes, projection
 from sheffer.classify import universal_alone
 from sheffer.closure import (
@@ -336,6 +337,31 @@ def test_four_inputs_budgeted_lower_bound():
     larger = generate_closure(tt, budget=48)
     assert larger.count >= small.count
     assert small.realized & ~larger.realized == 0
+
+
+@pytest.mark.parametrize("text,arity", [("7", 2), ("2B", 3), ("4685", 4)])
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_budget_rejected(text, arity, budget):
+    with pytest.raises(ValueError, match="budget"):
+        generate_closure(gate(text, arity), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "text,arity,constants,budget",
+    [("2B", 3, False, None), ("2B", 3, True, None), ("4685", 4, False, 64),
+     ("4685", 4, True, 64)],
+)
+def test_sweep_cap_stops_with_a_lower_bound(monkeypatch, text, arity, constants, budget):
+    tt = gate(text, arity)
+    uncapped = generate_closure(tt, constants, budget=budget)
+    monkeypatch.setattr(closure_mod, "_MAX_TRAILING", 100)
+    capped = generate_closure(tt, constants, budget=budget)
+    assert not capped.complete
+    assert capped.realized & ~uncapped.realized == 0
+    if arity == 3:  # stopped inside a later round, after round 1 was swept
+        assert 0 < capped.count < uncapped.count
+    if capped.witnesses is not None:
+        assert sorted(capped.witnesses) == list(capped.realized_codes())
 
 
 def test_arity_five_rejected():
