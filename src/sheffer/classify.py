@@ -96,16 +96,22 @@ def universal_with_constants(tt: TruthTable) -> bool:
 
 
 def classify(tt: TruthTable) -> Classification:
-    """All class flags and both verdicts for one gate."""
+    """All class flags and both verdicts for one gate.
+
+    Each predicate runs once; the verdicts are the same formulas as
+    `universal_alone` and `universal_with_constants`, read off the flags.
+    """
+    t0, t1, self_dual = preserves_zero(tt), preserves_one(tt), is_self_dual(tt)
+    monotone, affine = is_monotone(tt), is_affine(tt)
     return Classification(
         gate=tt,
-        preserves_zero=preserves_zero(tt),
-        preserves_one=preserves_one(tt),
-        self_dual=is_self_dual(tt),
-        monotone=is_monotone(tt),
-        affine=is_affine(tt),
-        universal_alone=universal_alone(tt),
-        universal_with_constants=universal_with_constants(tt),
+        preserves_zero=t0,
+        preserves_one=t1,
+        self_dual=self_dual,
+        monotone=monotone,
+        affine=affine,
+        universal_alone=not (t0 or t1 or self_dual),
+        universal_with_constants=not (monotone or affine),
     )
 
 

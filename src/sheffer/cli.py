@@ -98,7 +98,12 @@ def _cmd_closure(args: argparse.Namespace) -> int:
         "complete": report.complete,
         "realized": codes,
     }
-    bound = "" if report.complete else " (lower bound; budget exhausted)"
+    if report.complete:
+        bound = ""
+    elif report.stopped_by == "budget":
+        bound = " (lower bound; budget exhausted)"
+    else:
+        bound = " (lower bound; sweep-size cap reached)"
     lines = [
         f"gate {tt.to_hex()} ({tt.arity} inputs), constants "
         f"{'on' if args.constants else 'off'}",

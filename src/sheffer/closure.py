@@ -17,6 +17,12 @@ first, which keeps projection arguments in natural variable order and
 lets sibling derivations share subcircuits.  Rounds stop at a fixed
 point, or as soon as the full function space is reached (the set is then
 trivially closed, so the report is identical to running to quiescence).
+
+Synthesis asks for one target's witness, so a targeted run stops after
+the round that first realizes the target and ranks only the target's
+derivations there.  The stored witness is unchanged: rounds before it
+run in full, and a code's rank reads only the DAG masks of witnesses
+from earlier rounds.
 """
 from __future__ import annotations
 
@@ -78,9 +84,12 @@ class ClosureReport:
     """The exact set of functions one gate generates.
 
     `realized` is a bitset over all 2**(2**N) codes; `witnesses`, when
-    computed, maps each realized code to one minimal witness circuit.
-    `complete` is False only when a budget or the sweep-size cap stopped
-    the iteration early, in which case `count` is a lower bound.
+    computed, maps each realized code to one minimal witness circuit
+    (only the target's, for a targeted run).  `complete` is False when
+    the run stopped before its fixed point, in which case `count` is a
+    lower bound and `stopped_by` names what stopped it: "budget",
+    "sweep_cap" (a round would sweep more than `_MAX_TRAILING` trailing
+    tuples) or "target" (the requested target was realized).
     """
 
     generator: TruthTable
@@ -90,6 +99,7 @@ class ClosureReport:
     rounds: int
     complete: bool
     witnesses: dict[int, Circuit] | None
+    stopped_by: str | None = None
 
     def is_realized(self, code: int) -> bool:
         return (self.realized >> code) & 1 == 1
@@ -201,6 +211,7 @@ def generate_closure(
     *,
     witnesses: bool = True,
     budget: int | None = None,
+    target: int | None = None,
 ) -> ClosureReport:
     """Compute every function realizable from `gate` alone.
 
@@ -208,12 +219,26 @@ def generate_closure(
     explicit `budget` capping the working-set size; they report a lower
     bound (complete=False when the budget bites) and never witnesses.
     A `budget` below 1 raises ValueError at every arity.
+
+    `target`, a code, asks for that code's witness alone (witness mode,
+    at most three inputs).  The run stops after the round that first
+    realizes it, with complete=False, stopped_by="target", a lower-bound
+    `realized` and `witnesses={target: circuit}`, the circuit the full
+    run would store.  A target the gate never reaches leaves the report
+    exact and complete with `witnesses={}`.
     """
     n = gate.arity
     if n > 4:
         raise ValueError(f"closure computation supports at most 4 inputs, got {n}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
+    m = 1 << n
+    full = 1 << m
+    if target is not None:
+        if not witnesses or n == 4:
+            raise ValueError("a target needs witness mode and at most 3 inputs")
+        if not _is_index(target, full):
+            raise ValueError(f"target {target!r} is not a {n}-input code")
     if n == 4:
         if budget is None:
             raise ClosureBudgetError(
@@ -221,8 +246,6 @@ def generate_closure(
             )
         witnesses = False
 
-    m = 1 << n
-    full = 1 << m
     rowmask = full - 1  # m output bits per function
 
     seeds = seed_codes(n, constants_enabled)
@@ -235,29 +258,33 @@ def generate_closure(
     frontier = np.array(seeds, dtype=np.uint16)
     old = np.array([], dtype=np.uint16)
     rounds = 0
-    complete = True
+    stopped_by = None
 
     while frontier.size:
         rounds += 1
+        current = np.sort(np.concatenate([old, frontier]))
+        blocks = (gate.code, n, rowmask, old, frontier, current)
+        if target is not None:
+            # A count-mode trial says whether this is the target's round;
+            # earlier rounds run in full, as their DAG masks rank later ones.
+            trial = realized.copy()
+            _sweep_round(*blocks, trial, None, None, {})
+            if trial[target]:
+                wanted = np.zeros(full, dtype=bool)
+                wanted[target] = True
+                best: dict[int, tuple] = {}
+                _sweep_round(*blocks, realized, wanted, pool, best)
+                pool.add(target, best[target][1])
+                stopped_by = "target"
+                break
+
         new_this_round = ~realized  # snapshot: not yet realized at round start
         round_best: dict[int, tuple] = {}
-
-        current = np.sort(np.concatenate([old, frontier]))
-        hit_full = False
-        for i in range(n):
-            # Tuples partitioned by the first frontier position: earlier
-            # arguments old, that one frontier, the rest unrestricted.
-            srcs = [old] * i + [frontier] + [current] * (n - 1 - i)
-            if any(s.size == 0 for s in srcs):
-                continue
-            if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
-                complete = False
-                break
-            hit_full = _sweep_block(
-                gate.code, n, rowmask, srcs, realized, new_this_round, pool, round_best
-            )
-            if hit_full and pool is None:
-                break
+        hit_full, capped = _sweep_round(
+            *blocks, realized, new_this_round, pool, round_best
+        )
+        if capped:
+            stopped_by = "sweep_cap"
 
         if pool is not None:
             new_codes = np.flatnonzero(realized & new_this_round)
@@ -266,7 +293,7 @@ def generate_closure(
                 pool.add(code, args)
 
         count = int(np.count_nonzero(realized))
-        if count == full or (hit_full and pool is None) or not complete:
+        if count == full or hit_full or capped:
             break
 
         new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)
@@ -274,11 +301,11 @@ def generate_closure(
             room = budget - int(np.count_nonzero(in_set))
             if new_members.size > room:
                 new_members = new_members[: max(room, 0)]
-                complete = False
+                stopped_by = "budget"
         in_set[new_members] = True
         old = current
         frontier = new_members
-        if not complete:
+        if stopped_by:
             break
 
     count = int(np.count_nonzero(realized))
@@ -287,16 +314,54 @@ def generate_closure(
     )
     witness_map = None
     if pool is not None:
-        witness_map = {code: pool.extract(code) for code in np.flatnonzero(realized).tolist()}
+        if target is None:
+            codes = np.flatnonzero(realized).tolist()
+        else:
+            codes = [target] if stopped_by == "target" else []
+        witness_map = {code: pool.extract(code) for code in codes}
     return ClosureReport(
         generator=gate,
         constants_enabled=constants_enabled,
         realized=realized_int,
         count=count,
         rounds=rounds,
-        complete=complete,
+        complete=stopped_by is None,
         witnesses=witness_map,
+        stopped_by=stopped_by,
     )
+
+
+def _sweep_round(
+    gate_code: int,
+    n: int,
+    rowmask: int,
+    old: np.ndarray,
+    frontier: np.ndarray,
+    current: np.ndarray,
+    realized: np.ndarray,
+    collect: np.ndarray | None,
+    pool: _WitnessPool | None,
+    round_best: dict[int, tuple],
+) -> tuple[bool, bool]:
+    """Sweep one round's tuple blocks; returns (hit full space, hit sweep cap).
+
+    In witness mode the best derivation of each code set in `collect` is
+    folded into `round_best`; count mode (`pool` None) returns as soon as
+    the full space is reached.
+    """
+    for i in range(n):
+        # Tuples partitioned by the first frontier position: earlier
+        # arguments old, that one frontier, the rest unrestricted.
+        srcs = [old] * i + [frontier] + [current] * (n - 1 - i)
+        if any(s.size == 0 for s in srcs):
+            continue
+        if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
+            return False, True
+        if _sweep_block(
+            gate_code, n, rowmask, srcs, realized, collect, pool, round_best
+        ):
+            return True, False
+    return False, False
 
 
 def _sweep_block(
@@ -305,7 +370,7 @@ def _sweep_block(
     rowmask: int,
     srcs: list[np.ndarray],
     realized: np.ndarray,
-    new_this_round: np.ndarray,
+    collect: np.ndarray | None,
     pool: _WitnessPool | None,
     round_best: dict[int, tuple],
 ) -> bool:
@@ -336,7 +401,7 @@ def _sweep_block(
         realized[flat] = True
 
         if pool is not None:
-            sel = np.flatnonzero(new_this_round[flat])
+            sel = np.flatnonzero(collect[flat])
             if sel.size:
                 _collect_candidates(
                     sel, flat, lead, lo, srcs, [x.shape[0]] + chunk_shape_tail,
@@ -357,7 +422,7 @@ def _collect_candidates(
     pool: _WitnessPool,
     round_best: dict[int, tuple],
 ) -> None:
-    """Fold this chunk's derivations of still-new codes into the round's best."""
+    """Fold this chunk's derivations of the collected codes into the round's best."""
     out_codes = flat[sel]
     multi = np.unravel_index(sel, chunk_shape)
     arg_arrays = [lead[lead_offset + multi[0]]]
@@ -393,7 +458,9 @@ def synthesize(
         )
     if gate.arity > 3:
         raise ValueError("witness synthesis supports at most 3 inputs")
-    report = generate_closure(gate, constants_enabled, witnesses=True)
+    report = generate_closure(
+        gate, constants_enabled, witnesses=True, target=target.code
+    )
     assert report.witnesses is not None
     return report.witnesses.get(target.code)
 

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The heavy fixtures (whole-arity censuses and closure reports) are
-computed once per session.
+computed once per session; the witness closures live in conftest.py,
+which shares them with the targeted-synthesis tests.
 """
 import itertools
 import random
@@ -26,9 +27,6 @@ from sheffer.classify import (
     universality_scan,
 )
 from sheffer.closure import generate_closure, verify_circuit
-
-WITNESS_GATES_N3 = ["01", "07", "2B", "46", "68", "85", "96", "A8",
-                    "E8", "E9", "F8", "FF"]
 
 
 def report_line(criterion, ok, detail):
@@ -55,26 +53,6 @@ def reports3():
             out[(code, constants)] = generate_closure(
                 tt, constants, witnesses=False
             )
-    return out
-
-
-@pytest.fixture(scope="session")
-def reports2():
-    out = {}
-    for code in range(16):
-        tt = TruthTable(2, code)
-        for constants in (False, True):
-            out[(code, constants)] = generate_closure(tt, constants)
-    return out
-
-
-@pytest.fixture(scope="session")
-def witness_reports():
-    out = {}
-    for text in WITNESS_GATES_N3:
-        tt = TruthTable.from_hex(text, 3)
-        for constants in (False, True):
-            out[(tt.code, constants)] = generate_closure(tt, constants)
     return out
 
 

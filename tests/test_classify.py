@@ -123,6 +123,22 @@ def test_classification_consistency():
     assert c.universal_with_constants  # neither monotone nor affine
 
 
+def _verdict_cases():
+    for arity in (2, 3):
+        yield from (TruthTable(arity, code) for code in range(1 << (1 << arity)))
+    rng = random.Random(606)
+    for arity in (4, 5, 6):
+        for _ in range(300):
+            yield TruthTable(arity, rng.randrange(1 << (1 << arity)))
+
+
+def test_classify_verdicts_match_the_verdict_functions():
+    for tt in _verdict_cases():
+        c = classify(tt)
+        assert c.universal_alone == universal_alone(tt), tt
+        assert c.universal_with_constants == universal_with_constants(tt), tt
+
+
 @pytest.mark.parametrize("arity", [2, 3])
 def test_alone_implies_with_constants(arity):
     for code in range(1 << (1 << arity)):

@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+import sheffer.closure as closure_mod
 from sheffer.cli import main
 
 
@@ -133,6 +134,20 @@ def test_closure_four_inputs_with_budget(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["result"]["complete"] is False
+
+
+def test_closure_names_what_stopped_it(capsys, monkeypatch):
+    code, out, _ = run(capsys, "closure", "--gate", "2B", "--budget", "4")
+    assert code == 0
+    assert "(lower bound; budget exhausted)" in out
+    monkeypatch.setattr(closure_mod, "_MAX_TRAILING", 100)
+    code, out, _ = run(capsys, "closure", "--gate", "2B")
+    assert code == 0
+    assert "(lower bound; sweep-size cap reached)" in out and "budget" not in out
+    code, out, _ = run(capsys, "closure", "--gate", "2B", "--json")
+    result = json.loads(out)["result"]
+    assert result["complete"] is False
+    assert sorted(result) == ["complete", "count", "realized", "rounds"]
 
 
 def test_synth_witness(capsys):

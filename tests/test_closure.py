@@ -34,7 +34,7 @@ def test_and_realizes_three():
 def test_nand_realizes_everything():
     report = generate_closure(gate("7", 2))
     assert report.count == 16
-    assert report.complete
+    assert report.complete and report.stopped_by is None
 
 
 def test_not_gate_counts():
@@ -156,6 +156,94 @@ def test_synthesize_arity_checks():
         synthesize(gate("7", 2), gate("2B", 3))
     with pytest.raises(ValueError):
         synthesize(gate("4685", 4), gate("4685", 4))
+
+
+def _spy_on_generate_closure(monkeypatch):
+    """Record (kwargs, report) for each call `synthesize` makes."""
+    calls = []
+    real = closure_mod.generate_closure
+
+    def spy(*args, **kwargs):
+        report = real(*args, **kwargs)
+        calls.append((kwargs, report))
+        return report
+
+    monkeypatch.setattr(closure_mod, "generate_closure", spy)
+    return calls
+
+
+def _synthesize_matches_full_report(calls, full, target):
+    calls.clear()
+    tt = full.generator
+    circuit = synthesize(tt, TruthTable(tt.arity, target), full.constants_enabled)
+    assert circuit == full.witnesses.get(target), (tt, full.constants_enabled, target)
+    [(kwargs, report)] = calls
+    assert kwargs["witnesses"] is True
+    assert report.realized & ~full.realized == 0
+    if circuit is None:
+        assert report.complete and report.stopped_by is None
+        assert report.realized == full.realized and report.witnesses == {}
+    else:
+        assert not report.complete and report.stopped_by == "target"
+        assert report.witnesses == {target: circuit}
+
+
+def _depth(circuit):
+    depths = []
+    for node in circuit.nodes:
+        depths.append(1 + max(depths[c] for c in node[1]) if node[0] == "apply" else 0)
+    return depths[circuit.root]
+
+
+def test_targeted_synthesis_matches_full_witnesses_n2(monkeypatch, reports2):
+    calls = _spy_on_generate_closure(monkeypatch)
+    for full in reports2.values():
+        for target in range(16):
+            _synthesize_matches_full_report(calls, full, target)
+
+
+def test_targeted_synthesis_matches_full_witnesses_n3(monkeypatch, witness_reports):
+    # Per gate: the smallest and largest code found at each witness depth
+    # (= discovery round), and the first and last unrealizable code.
+    calls = _spy_on_generate_closure(monkeypatch)
+    checked = 0
+    for full in witness_reports.values():
+        by_depth = {}
+        for code in sorted(full.witnesses):
+            by_depth.setdefault(_depth(full.witnesses[code]), []).append(code)
+        unrealizable = [c for c in range(256) if not full.is_realized(c)]
+        ends = [*by_depth.values(), unrealizable]
+        targets = {c for codes in ends for c in codes[:1] + codes[-1:]}
+        for target in sorted(targets):
+            _synthesize_matches_full_report(calls, full, target)
+        checked += len(targets)
+    assert checked > 100
+
+
+@pytest.mark.parametrize("text,arity", [("7", 2), ("2B", 3)])
+def test_target_validation(text, arity):
+    for target in (True, -1, 1 << (1 << arity), 1.0, "0"):
+        with pytest.raises(ValueError, match="target"):
+            generate_closure(gate(text, arity), target=target)
+
+
+@pytest.mark.parametrize("text,arity,budget", [("7", 2, None), ("2B", 3, None),
+                                               ("4685", 4, 64)])
+def test_target_needs_witness_mode(text, arity, budget):
+    with pytest.raises(ValueError, match="target"):
+        generate_closure(gate(text, arity), witnesses=False, budget=budget, target=0)
+    if arity == 4:  # four inputs never build witnesses
+        with pytest.raises(ValueError, match="target"):
+            generate_closure(gate(text, arity), budget=budget, target=0)
+
+
+def test_synthesize_makes_one_witness_mode_closure(monkeypatch):
+    # Benchmarks trace `synthesize` through the module-level binding.
+    calls = _spy_on_generate_closure(monkeypatch)
+    for text in ("7", "8"):  # XOR is realizable from NAND, not from AND
+        calls.clear()
+        synthesize(gate(text, 2), gate("6", 2))
+        assert [kwargs["witnesses"] for kwargs, _ in calls] == [True]
 
 
 def test_verify_circuit_projection_and_const():
@@ -331,7 +419,7 @@ def test_four_inputs_needs_budget():
 def test_four_inputs_budgeted_lower_bound():
     tt = gate("4685", 4)
     small = generate_closure(tt, budget=24)
-    assert not small.complete
+    assert not small.complete and small.stopped_by == "budget"
     assert small.witnesses is None
     assert small.is_realized(tt.code)
     larger = generate_closure(tt, budget=48)
@@ -360,6 +448,7 @@ def test_sweep_cap_stops_with_a_lower_bound(monkeypatch, text, arity, constants,
     assert capped.realized & ~uncapped.realized == 0
     if arity == 3:  # stopped inside a later round, after round 1 was swept
         assert 0 < capped.count < uncapped.count
+        assert capped.stopped_by == "sweep_cap"
     if capped.witnesses is not None:
         assert sorted(capped.witnesses) == list(capped.realized_codes())
 
