@@ -96,11 +96,6 @@ class TruthTable:
         """Output bits indexed by input row."""
         return tuple((self.code >> r) & 1 for r in range(self.n_rows))
 
-    def row(self, r: int) -> int:
-        if not 0 <= r < self.n_rows:
-            raise ValueError(f"row {r} out of range for arity {self.arity}")
-        return (self.code >> r) & 1
-
     def evaluate(self, assignment: Sequence[int]) -> int:
         """Output bit for one assignment (variable 0 first)."""
         bits = list(assignment)
@@ -116,22 +111,19 @@ class TruthTable:
     def cofactor(self, var: int, value: int) -> "TruthTable":
         """Restriction with variable `var` fixed to `value`.
 
-        Remaining variables keep their relative order.  Requires at
-        least two inputs: the type space stays closed over gates, so a
-        1-input table has no cofactor here.
+        Remaining variables keep their relative order: the table is
+        composed with the remaining projections and the constant in slot
+        `var`.  Requires at least two inputs: the type space stays closed
+        over gates, so a 1-input table has no cofactor here.
         """
         if self.arity < 2:
             raise ValueError("cofactor of a 1-input table would be a constant")
         if not 0 <= var < self.arity:
             raise ValueError(f"variable {var} out of range for arity {self.arity}")
-        pos = self.arity - 1 - var  # row-index bit of the fixed variable
-        bit = 1 if value else 0
-        out = 0
-        for nr in range(1 << (self.arity - 1)):
-            low = nr & ((1 << pos) - 1)
-            r = ((nr >> pos) << (pos + 1)) | (bit << pos) | low
-            out |= ((self.code >> r) & 1) << nr
-        return TruthTable(self.arity - 1, out)
+        k = self.arity - 1
+        args = [variable_pattern(k, k - 1 - j) for j in range(k)]
+        args.insert(var, constant(k, value).code)
+        return TruthTable(k, compose_codes(self.code, self.arity, args, k))
 
     def dual(self) -> "TruthTable":
         """The dual function x -> NOT f(NOT x)."""
@@ -140,22 +132,16 @@ class TruthTable:
         return TruthTable(self.arity, reversed_code ^ ((1 << m) - 1))
 
     def permute(self, mapping: Sequence[int]) -> "TruthTable":
-        """Relabel inputs: old variable k becomes variable `mapping[k]`."""
+        """Relabel inputs: old variable k becomes variable `mapping[k]`.
+
+        That is the composition with projection `mapping[k]` in slot k.
+        """
         n = self.arity
         perm = list(mapping)
         if sorted(perm) != list(range(n)):
             raise ValueError(f"{mapping!r} is not a permutation of 0..{n - 1}")
-        inv = [0] * n
-        for old, new in enumerate(perm):
-            inv[new] = old
-        out = 0
-        for nr in range(self.n_rows):
-            r = 0
-            for j in range(n):
-                bit = (nr >> (n - 1 - j)) & 1
-                r |= bit << (n - 1 - inv[j])
-            out |= ((self.code >> r) & 1) << nr
-        return TruthTable(n, out)
+        args = [variable_pattern(n, n - 1 - new) for new in perm]
+        return TruthTable(n, compose_codes(self.code, n, args, n))
 
     def __repr__(self) -> str:
         return f"TruthTable({self.arity}, 0x{self.to_hex()})"
@@ -185,15 +171,40 @@ def constant(arity: int, value: int) -> TruthTable:
     return TruthTable(arity, ((1 << (1 << arity)) - 1) if value else 0)
 
 
+def shannon(code: int, k: int, args: Sequence, rowmask: int, cache: dict):
+    """Packed code of the k-input function `code` applied to the k `args`.
+
+    This is the one composition kernel: Shannon's expansion on the
+    leading argument, f(x, rest) = x ? f1(rest) : f0(rest), where f1 and
+    f0 are the high and low halves of `code`.  Each argument is a packed
+    code over the bits of `rowmask`, either an int or a numpy array (the
+    arrays broadcast against each other), and the result has the same
+    form.  `cache` keeps each (subfunction, k) result below the top
+    level, so a subfunction over the trailing arguments is evaluated
+    once, also across calls of one arity that share those arguments.
+
+    Every level muxes with its argument, so an array result spans every
+    argument axis.  A constant subfunction is never short-circuited to a
+    scalar: callers unravel flat indexes against the full broadcast shape.
+    """
+    if k == 0:
+        return rowmask if code else 0
+    key = (code, k)
+    res = cache.get(key)
+    if res is None:
+        half_bits = 1 << (k - 1)
+        hi = shannon(code >> half_bits, k - 1, args, rowmask, cache)
+        lo = shannon(code & ((1 << half_bits) - 1), k - 1, args, rowmask, cache)
+        x = args[-k]  # the leading one of the k arguments still to expand
+        res = (x & hi) | (~x & rowmask & lo)
+        if k < len(args):  # the top level depends on the leading argument
+            cache[key] = res
+    return res
+
+
 def compose_codes(gate_code: int, gate_arity: int, arg_codes: Sequence[int], arg_arity: int) -> int:
     """Pointwise composition on packed codes; see `compose`."""
-    out = 0
-    for r in range(1 << arg_arity):
-        idx = 0
-        for c in arg_codes:
-            idx = (idx << 1) | ((c >> r) & 1)
-        out |= ((gate_code >> idx) & 1) << r
-    return out
+    return shannon(gate_code, gate_arity, arg_codes, (1 << (1 << arg_arity)) - 1, {})
 
 
 def compose(gate: TruthTable, args: Sequence[TruthTable]) -> TruthTable:

@@ -23,7 +23,6 @@ import csv
 import io
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -179,15 +178,6 @@ def _closure_counts(flags: Classification) -> tuple[int, int]:
     return plain, const
 
 
-def _check_thread_cap() -> None:
-    cap = os.environ.get("ULG_THREADS")
-    if cap is not None:
-        try:
-            int(cap)
-        except ValueError as exc:
-            raise ValueError(f"ULG_THREADS must be an integer, got {cap!r}") from exc
-
-
 def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     """Census every gate of one arity (2..4), in code order.
 
@@ -197,12 +187,10 @@ def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     the full-space count from their verdicts, and the other closures run
     once per `class_keys` class, which is exact because input
     permutation and duality preserve both counts.  The census runs in
-    this process: `workers` and the ULG_THREADS environment variable
-    have no effect, though a non-integer ULG_THREADS is still rejected.
+    this process; `workers` is accepted and has no effect.
     """
     if arity not in (2, 3, 4):
         raise ValueError(f"census supports arities 2..4, got {arity}")
-    _check_thread_cap()
     keys = class_keys(arity) if arity <= 3 else None
     counts: dict[int, tuple[int, int]] = {}
     rows = []

@@ -201,6 +201,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     # Argv was parsed under the digit limit; only the rendering lifts it.
     with _unlimited_int_digits():
         if args.max_n is not None:
+            if args.max_n < 2:  # universal_count rejects the top of the series
+                raise _UsageError(f"--max-n must be at least 2, got {args.max_n}")
             lines = ["n,universal,total,ratio"]
             for n in range(2, args.max_n + 1):
                 r = universal_count(n)
@@ -264,8 +266,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("count", help="closed-form universal-gate counts")
-    p.add_argument("--n", type=int, help="arity (2..16)")
-    p.add_argument("--max-n", type=int, help="emit a CSV series for 2..MAX_N")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--n", type=int, help="arity (2..16)")
+    which.add_argument("--max-n", type=int, help="emit a CSV series for 2..MAX_N")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_count)
 
@@ -276,8 +279,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "count" and args.n is None and args.max_n is None:
-            raise _UsageError("count needs --n or --max-n")
         return args.func(args)
     except ClosureBudgetError as exc:
         print(f"limit: {exc}", file=sys.stderr)

@@ -10,13 +10,15 @@ degenerate generators (constants, projections) come out right.
 The computation runs in rounds: round k composes G over every argument
 tuple that contains at least one function first available after round
 k-1, so a function discovered in round k has a witness of depth exactly
-k and no smaller.  Within its discovery round, a function's stored
-witness is the derivation with the fewest distinct gate applications in
-its DAG; remaining ties prefer argument tuples whose codes are largest
-first, which keeps projection arguments in natural variable order and
-lets sibling derivations share subcircuits.  Rounds stop at a fixed
-point, or as soon as the full function space is reached (the set is then
-trivially closed, so the report is identical to running to quiescence).
+k and no smaller.  Each block of tuples is composed by `bitfunc.shannon`,
+the one composition kernel, over broadcast numpy arrays of codes.
+Within its discovery round, a function's stored witness is the
+derivation with the fewest distinct gate applications in its DAG;
+remaining ties prefer argument tuples whose codes are largest first,
+which keeps projection arguments in natural variable order and lets
+sibling derivations share subcircuits.  Rounds stop at a fixed point, or
+as soon as the full function space is reached (the set is then trivially
+closed, so the report is identical to running to quiescence).
 
 Synthesis asks for one target's witness, so a targeted run stops after
 the round that first realizes the target and ranks only the target's
@@ -28,11 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .bitfunc import TruthTable, compose_codes, variable_pattern
+from .bitfunc import TruthTable, compose_codes, shannon, variable_pattern
 
 __all__ = [
     "Circuit",
@@ -120,26 +122,6 @@ def seed_codes(arity: int, constants_enabled: bool) -> list[int]:
         seeds.add(0)
         seeds.add((1 << (1 << arity)) - 1)
     return sorted(seeds)
-
-
-def _compose_rec(code: int, k: int, rowmask: int, axes: Sequence[np.ndarray], cache: dict):
-    # Shannon expansion on the leading argument; results over the trailing
-    # axes are cached so each distinct subfunction is evaluated once.
-    if k == 0:
-        return np.uint16(rowmask if code else 0)
-    key = (code, k)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    half_bits = 1 << (k - 1)
-    g_hi = code >> half_bits
-    g_lo = code & ((1 << half_bits) - 1)
-    r1 = _compose_rec(g_hi, k - 1, rowmask, axes[1:], cache)
-    r0 = _compose_rec(g_lo, k - 1, rowmask, axes[1:], cache)
-    x = axes[0]
-    res = (x & r1) | (~x & np.uint16(rowmask) & r0)
-    cache[key] = res
-    return res
 
 
 class _WitnessPool:
@@ -384,19 +366,16 @@ def _sweep_block(
         trailing.append(srcs[j].reshape(shape))
         trailing_size *= srcs[j].size
 
+    # The lead axis is swept in chunks; the shared cache evaluates the
+    # gate's subfunctions over the trailing axes once for the whole block.
     cache: dict = {}
-    half_bits = 1 << (n - 1)
-    r1 = _compose_rec(gate_code >> half_bits, n - 1, rowmask, trailing, cache)
-    r0 = _compose_rec(gate_code & ((1 << half_bits) - 1), n - 1, rowmask, trailing, cache)
-
     lead = srcs[0]
     step = max(1, _CHUNK_ELEMS // trailing_size)
-    rm = np.uint16(rowmask)
     chunk_shape_tail = [srcs[j].size for j in range(1, n)]
 
     for lo in range(0, lead.size, step):
         x = lead[lo : lo + step].reshape([-1] + [1] * (n - 1))
-        out = (x & r1) | (~x & rm & r0)
+        out = shannon(gate_code, n, [x, *trailing], rowmask, cache)
         flat = out.ravel()
         realized[flat] = True
 

@@ -1,8 +1,17 @@
+import itertools
 import random
 
+import numpy as np
 import pytest
 
-from sheffer.bitfunc import TruthTable, compose, constant, hex_width, projection
+from sheffer.bitfunc import (
+    TruthTable,
+    compose,
+    constant,
+    hex_width,
+    projection,
+    shannon,
+)
 
 
 def test_decode_nand():
@@ -17,7 +26,7 @@ def test_decode_zero_three_inputs():
 
 def test_decode_4685():
     tt = TruthTable.from_hex("4685", 4)
-    true_rows = [r for r in range(16) if tt.row(r)]
+    true_rows = [r for r in range(16) if tt.rows[r]]
     # assignments 0000, 0010, 0111, 1001, 1010, 1110 (variable A first)
     assert true_rows == [0, 2, 7, 9, 10, 14]
 
@@ -79,8 +88,8 @@ def test_bool_code_rejected():
 
 def test_code_bit_orientation():
     tt = TruthTable.from_hex("85", 3)
-    assert tt.row(0) == tt.code & 1
-    assert tt.row(7) == (tt.code >> 7) & 1
+    assert tt.rows[0] == tt.code & 1
+    assert tt.rows[7] == (tt.code >> 7) & 1
 
 
 def test_evaluate_case_studies():
@@ -142,6 +151,31 @@ def test_compose_agrees_with_evaluate():
             assert composed.evaluate(x) == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shannon_array_path_matches_scalar_compose(n):
+    # The closure sweep feeds the kernel broadcast uint16 arrays, one axis
+    # per argument; every element must equal the scalar composition, and
+    # the result must span every axis even for constant subfunctions.
+    rng = random.Random(20 + n)
+    rowmask = (1 << (1 << n)) - 1
+    gates = [rng.randrange(rowmask + 1) for _ in range(6)]
+    if n == 3:
+        gates += [0x00, 0xFF, 0xF0, 0x0F]
+    sizes = [2, 3, 4, 5][:n]
+    values = [[rng.randrange(rowmask + 1) for _ in range(size)] for size in sizes]
+    axes = [
+        np.array(vals, dtype=np.uint16).reshape([-1 if j == k else 1 for j in range(n)])
+        for k, vals in enumerate(values)
+    ]
+    for code in gates:
+        out = shannon(code, n, axes, rowmask, {})
+        assert out.shape == tuple(sizes)
+        assert out.dtype == np.uint16
+        for idx in itertools.product(*(range(size) for size in sizes)):
+            args = [TruthTable(n, values[k][i]) for k, i in enumerate(idx)]
+            assert int(out[idx]) == compose(TruthTable(n, code), args).code, (code, idx)
+
+
 def test_cofactor_case_studies():
     g85 = TruthTable.from_hex("85", 3)
     assert g85.cofactor(0, 0).to_hex() == "5"
@@ -173,7 +207,7 @@ def test_shannon_expansion_exhaustive(arity):
                 x = [(r >> (arity - 1 - i)) & 1 for i in range(arity)]
                 reduced = x[:var] + x[var + 1 :]
                 recombined = f1.evaluate(reduced) if x[var] else f0.evaluate(reduced)
-                assert recombined == tt.row(r)
+                assert recombined == tt.rows[r]
 
 
 def test_dual_examples():

@@ -127,9 +127,8 @@ def test_workers_do_not_change_output(census2):
     assert render_csv(parallel) == render_csv(census2)
 
 
-def test_process_pool_does_not_change_output(monkeypatch):
+def test_process_pool_does_not_change_output():
     # The census is serial; `workers` is still accepted and has no effect.
-    monkeypatch.delenv("ULG_THREADS", raising=False)
     assert render_csv(enumerate_all(3, workers=2)) == render_csv(enumerate_all(3, workers=1))
 
 
@@ -152,15 +151,6 @@ def test_rows_survive_pickling(census3):
     # Rows pickle through the slotted dataclasses' default state hooks.
     rows = census3.rows
     assert pickle.loads(pickle.dumps(rows)) == rows
-
-
-def test_ulg_threads_cap(monkeypatch, census2):
-    monkeypatch.setenv("ULG_THREADS", "1")
-    capped = enumerate_all(2, workers=8)
-    assert render_csv(capped) == render_csv(census2)
-    monkeypatch.setenv("ULG_THREADS", "zebra")
-    with pytest.raises(ValueError):
-        enumerate_all(2)
 
 
 def test_diff_detects_corruption(census2):

@@ -50,10 +50,10 @@ def test_self_dual():
 
 def _monotone_brute_force(tt):
     # independent oracle: compare all pairs of comparable assignments
-    n, m = tt.arity, tt.n_rows
+    m, rows = tt.n_rows, tt.rows
     for x in range(m):
         for y in range(m):
-            if x & y == x and tt.row(x) > tt.row(y):
+            if x & y == x and rows[x] > rows[y]:
                 return False
     return True
 

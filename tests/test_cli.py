@@ -81,6 +81,19 @@ def test_count_needs_n(capsys):
     assert err.strip().count("\n") == 0 and "error" in err
 
 
+@pytest.mark.parametrize("max_n", ["1", "0", "-3", "17"])
+def test_count_series_out_of_range(capsys, max_n):
+    code, out, err = run(capsys, "count", "--max-n", max_n)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_count_rejects_n_with_max_n(capsys):
+    code, out, err = run(capsys, "count", "--n", "2", "--max-n", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_mux(capsys):
     code, out, _ = run(capsys, "mux", "--gate", "4685", "--select", "A,B")
     assert code == 0
