@@ -2,18 +2,24 @@
 
 A census classifies every gate of one arity; through three inputs it
 also carries both exact closure counts, which is what the checked-in
-reference data under ``sheffer/data`` is diffed against.  Post's
-completeness theorem settles the counts of complete gates: a gate that
-is universal alone (or with the constants) generates every function, and
-being non-constant it realizes each one as the output of a single
-application, so its count is the whole space of 2**(2**N) functions.
-The enumerator runs only for the other gates, and only once per class
-under input permutation and duality (46 classes for the 256 three-input
-gates): permuting a gate's inputs leaves the clone it generates
-unchanged, and the dual gate generates the dual clone, which has the
-same size (projections are self-dual and the constants 0 and 1 swap).
-The counting identities give the number of standalone-universal gates in
-closed form: with G = 2**(2**N) gates in total, G/4 fix neither
+reference data under ``sheffer/data`` is diffed against.  The class
+flags and both verdicts come from `clones.membership`, whose columns
+decide every Post class for all codes of an arity at once from the two
+halves of each encoding, and the paper's fast track looks the same two
+halves up one arity down.  The table keeps one column per field, and
+the CSV and JSON renderings are written from the columns; the per-gate
+`CensusRow` objects are built only when `CensusTable.rows` is read.
+Post's completeness theorem settles the closure counts of complete
+gates: a gate that is universal alone (or with the constants) generates
+every function, and being non-constant it realizes each one as the
+output of a single application, so its count is the whole space of
+2**(2**N) functions.  The enumerator runs only for the other gates, and
+only once per class under input permutation and duality (46 classes for
+the 256 three-input gates): permuting a gate's inputs leaves the clone it
+generates unchanged, and the dual gate generates the dual clone, which
+has the same size (projections are self-dual and the constants 0 and 1
+swap).  The counting identities give the number of standalone-universal
+gates in closed form: with G = 2**(2**N) gates in total, G/4 fix neither
 constant input row and sqrt(G/4) of those are self-dual, so
 U = G/4 - sqrt(G/4) exactly.
 """
@@ -22,15 +28,20 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import IO
+from typing import IO, NamedTuple
 
-from .bitfunc import TruthTable
-from .classify import FLAG_FIELDS, Classification, classify, hex_fast_track
+from .bitfunc import TruthTable, hex_width
+from .classify import FLAG_FIELDS, Classification
+# The census no longer calls `classify` or `hex_fast_track`; both stay
+# bound here because perfbench's traced run wraps `census.classify`,
+# `census.hex_fast_track` and `census.generate_closure` by name.
+from .classify import classify, hex_fast_track  # noqa: F401
+from .clones import membership
 from .closure import generate_closure
 
 __all__ = [
@@ -60,8 +71,6 @@ CSV_FIELDS = (
 
 CSV_HEADER = ",".join(CSV_FIELDS)
 
-_FLAG_ATTRS = dict(FLAG_FIELDS)
-
 #: Reference data files shipped with the package, keyed by hex code.
 REFERENCE_FILES = (
     "n2_closure_counts.csv",
@@ -89,12 +98,38 @@ class CensusRow(Classification):
         return self.gate.code
 
 
+#: The `CensusRow` fields after `gate`; `CensusTable` holds one column of each.
+_COLUMNS = CensusRow.__match_args__[1:]
+
+
 @dataclass(frozen=True)
 class CensusTable:
-    """One row per code, in code order."""
+    """Every census column of one arity, each a tuple in code order.
+
+    Each column holds the `CensusRow` attribute of the same name for
+    every code.  The closure columns are None above three inputs and
+    `fast_track` below three.
+    """
 
     arity: int
-    rows: tuple[CensusRow, ...]
+    preserves_zero: tuple[bool, ...]
+    preserves_one: tuple[bool, ...]
+    self_dual: tuple[bool, ...]
+    monotone: tuple[bool, ...]
+    affine: tuple[bool, ...]
+    universal_alone: tuple[bool, ...]
+    universal_with_constants: tuple[bool, ...]
+    closure_plain: tuple[int, ...] | None
+    closure_const: tuple[int, ...] | None
+    fast_track: tuple[bool, ...] | None
+
+    @cached_property
+    def rows(self) -> tuple[CensusRow, ...]:
+        """One row per code, in code order, built on first use."""
+        columns = [itertools.repeat(None) if column is None else column
+                   for column in (getattr(self, name) for name in _COLUMNS)]
+        return tuple(CensusRow(TruthTable(self.arity, code), *values)
+                     for code, values in enumerate(zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -167,84 +202,97 @@ def class_keys(arity: int) -> tuple[int, ...]:
     return tuple(keys[code] for code in range(n_codes))
 
 
-def _closure_counts(flags: Classification) -> tuple[int, int]:
-    """Closure counts of one gate, without and with constants."""
-    gate = flags.gate
+def _closure_counts(gate: TruthTable, alone: bool, with_constants: bool) -> tuple[int, int]:
+    """Closure counts of one gate without and with constants, given its two verdicts."""
     full = 1 << gate.n_rows
-    plain = (full if flags.universal_alone
-             else generate_closure(gate, False, witnesses=False).count)
-    const = (full if flags.universal_with_constants
-             else generate_closure(gate, True, witnesses=False).count)
+    plain = full if alone else generate_closure(gate, False, witnesses=False).count
+    const = full if with_constants else generate_closure(gate, True, witnesses=False).count
     return plain, const
 
 
 def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     """Census every gate of one arity (2..4), in code order.
 
-    Closure counts are computed only through three inputs; at four the
-    columns are omitted (the flag predicates stand in, having been
-    proven equivalent at the exhaustive arities).  Complete gates take
+    The class flags and both verdicts are the `membership` columns.
+    From three inputs `fast_track` is `hex_fast_track` for every code at
+    once: the `universal_with_constants` column one arity down, looked up
+    at both halves of the code.  Closure counts are computed only through
+    three inputs; at four the columns are omitted.  Complete gates take
     the full-space count from their verdicts, and the other closures run
-    once per `class_keys` class, which is exact because input
-    permutation and duality preserve both counts.  The census runs in
-    this process; `workers` is accepted and has no effect.
+    once per `class_keys` class, which is exact because input permutation
+    and duality preserve both counts.  The census runs in this process;
+    `workers` is accepted and has no effect.
     """
     if arity not in (2, 3, 4):
         raise ValueError(f"census supports arities 2..4, got {arity}")
-    keys = class_keys(arity) if arity <= 3 else None
-    counts: dict[int, tuple[int, int]] = {}
-    rows = []
-    for code in range(1 << (1 << arity)):
-        tt = TruthTable(arity, code)
-        flags = classify(tt)
-        closure_plain = closure_const = None
-        if keys is not None:
-            # A class key is its smallest member, so it is reached first.
-            if keys[code] == code:
-                counts[code] = _closure_counts(flags)
-            closure_plain, closure_const = counts[keys[code]]
-        rows.append(CensusRow(
-            *(getattr(flags, name) for name in flags.__match_args__),
-            closure_plain=closure_plain,
-            closure_const=closure_const,
-            fast_track=hex_fast_track(tt) if arity >= 3 else None,
-        ))
-    return CensusTable(arity=arity, rows=tuple(rows))
+    flags = {name: tuple(column.tolist()) for name, column in membership(arity).items()}
+    fast_track = None
+    if arity >= 3:
+        # Code f0 | f1 << half sits at [f1, f0] of the outer combination.
+        below = membership(arity - 1)["universal_with_constants"]
+        fast_track = tuple((below[:, None] | below[None, :]).ravel().tolist())
+    closure_plain = closure_const = None
+    if arity <= 3:
+        keys = class_keys(arity)
+        counts = {
+            key: _closure_counts(TruthTable(arity, key), flags["universal_alone"][key],
+                                 flags["universal_with_constants"][key])
+            for key in sorted(set(keys))
+        }
+        closure_plain = tuple(counts[key][0] for key in keys)
+        closure_const = tuple(counts[key][1] for key in keys)
+    return CensusTable(arity=arity, **flags, closure_plain=closure_plain,
+                       closure_const=closure_const, fast_track=fast_track)
 
 
-def _field_value(row: CensusRow, field: str) -> object:
-    """The JSON value of one census column."""
-    if field == "code":
-        return row.gate.to_hex()
-    if field not in CSV_FIELDS:
-        raise ValueError(f"unknown census field {field!r}")
-    return getattr(row, _FLAG_ATTRS.get(field, field))
+class _Words(NamedTuple):
+    """How one output format writes each kind of census value."""
+
+    code: str  # printf template taking (hex width, code)
+    flag: tuple[str, str]  # False, True
+    fast_track: tuple[str, str]  # False, True
+    missing: str
 
 
-def _render_field(row: CensusRow, field: str) -> str:
-    """The CSV cell of one census column."""
-    value = _field_value(row, field)
-    if value is None:
-        return ""
-    if field == "fast_track":
-        return "confirmed" if value else "inconclusive"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
+_CSV = _Words("%0*X", ("0", "1"), ("inconclusive", "confirmed"), "")
+_JSON = _Words('"%0*X"', ("false", "true"), ("false", "true"), "null")
+
+#: One census row as `json.dumps(..., indent=2)` lays it out inside "rows".
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{f}": %s' for f in CSV_FIELDS) + "\n    }"
+
+
+def _text_columns(table: CensusTable, words: _Words) -> dict[str, list[str]]:
+    """Every `CSV_FIELDS` column as text in code order, written as `words` says."""
+    size = 1 << (1 << table.arity)
+    width = hex_width(table.arity)
+    out = {"code": [words.code % (width, code) for code in range(size)]}
+    for field, attr in FLAG_FIELDS:
+        out[field] = [words.flag[value] for value in getattr(table, attr)]
+    for field in ("closure_plain", "closure_const"):
+        values = getattr(table, field)
+        out[field] = [words.missing] * size if values is None else list(map(str, values))
+    values = table.fast_track
+    out["fast_track"] = ([words.missing] * size if values is None
+                         else [words.fast_track[value] for value in values])
+    return out
 
 
 def render_csv(table: CensusTable) -> str:
     """Deterministic CSV text: fixed header, rows in code order."""
-    lines = [CSV_HEADER]
-    for row in table.rows:
-        lines.append(",".join(_render_field(row, f) for f in CSV_FIELDS))
-    return "\n".join(lines) + "\n"
+    cells = _text_columns(table, _CSV)
+    lines = map(",".join, zip(*(cells[f] for f in CSV_FIELDS)))
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def render_json(table: CensusTable) -> str:
-    """Deterministic JSON text mirroring the CSV columns."""
-    rows = [{f: _field_value(row, f) for f in CSV_FIELDS} for row in table.rows]
-    return json.dumps({"arity": table.arity, "rows": rows}, indent=2) + "\n"
+    """Deterministic JSON text mirroring the CSV columns.
+
+    The text is what `json.dumps({"arity": ..., "rows": [...]}, indent=2)`
+    writes for one object per row keyed by `CSV_FIELDS`.
+    """
+    cells = _text_columns(table, _JSON)
+    rows = ",\n".join(_JSON_ROW % values for values in zip(*(cells[f] for f in CSV_FIELDS)))
+    return f'{{\n  "arity": {table.arity},\n  "rows": [\n{rows}\n  ]\n}}\n'
 
 
 def emit_report(table: CensusTable, fmt: str = "csv", destination: str | Path | IO[str] | None = None) -> str:
@@ -324,7 +372,8 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
     unknown = [f for f in fields if f not in CSV_FIELDS]
     if unknown:
         raise ValueError(f"reference {origin} has unknown columns {unknown}")
-    by_code = {row.code: row for row in table.rows}
+    cells = _text_columns(table, _CSV)
+    size = len(cells["code"])
     out: list[Divergence] = []
     for record in reader:
         raw_code = (record.get("code") or "").strip()
@@ -332,14 +381,13 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
             code = int(raw_code, 16)
         except ValueError as exc:
             raise ValueError(f"reference {origin}: bad code {raw_code!r}") from exc
-        row = by_code.get(code)
-        if row is None:
+        if not 0 <= code < size:
             raise ValueError(f"reference {origin}: code {raw_code} not in census")
         for field in fields:
             if field == "code":
                 continue
             expected = (record.get(field) or "").strip()
-            computed = _render_field(row, field)
+            computed = cells[field][code]
             if computed != expected:
                 out.append(Divergence(code=code, field=field,
                                       reference=expected, computed=computed))

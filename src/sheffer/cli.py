@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from .bitfunc import TruthTable, hex_width
-from .census import emit_report, enumerate_all, universal_count
+from .census import CountReport, emit_report, enumerate_all, universal_count
 from .classify import FLAG_FIELDS, classify
 from .closure import ClosureBudgetError, circuit_to_json, generate_closure, synthesize
 from .mux import mux_decompose, mux_to_dot, mux_to_json
@@ -59,7 +59,7 @@ def _parse_select(text: str, arity: int) -> list[int]:
     return out
 
 
-def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict,
+def _emit(args: argparse.Namespace, command: str, inputs: dict, result: dict | list,
           text_lines: list[str]) -> None:
     if getattr(args, "json", False):
         envelope = {"command": command, "input": inputs, "result": result}
@@ -197,34 +197,38 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _count_result(r: CountReport) -> dict:
+    return {
+        "n": r.n,
+        "input_combinations": r.input_combinations,
+        "gate_count": r.gate_count,
+        "endpoint_free": r.endpoint_free,
+        "universal": r.universal,
+        "ratio": {"num": r.ratio.numerator, "den": r.ratio.denominator},
+        "ratio_decimal": r.ratio_decimal,
+    }
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     # Argv was parsed under the digit limit; only the rendering lifts it.
     with _unlimited_int_digits():
         if args.max_n is not None:
             if args.max_n < 2:  # universal_count rejects the top of the series
                 raise _UsageError(f"--max-n must be at least 2, got {args.max_n}")
-            lines = ["n,universal,total,ratio"]
-            for n in range(2, args.max_n + 1):
-                r = universal_count(n)
-                lines.append(f"{n},{r.universal},{r.gate_count},{r.ratio_decimal}")
-            print("\n".join(lines))
+            reports = [universal_count(n) for n in range(2, args.max_n + 1)]
+            lines = ["n,universal,total,ratio"] + [
+                f"{r.n},{r.universal},{r.gate_count},{r.ratio_decimal}" for r in reports
+            ]
+            _emit(args, "count", {"max_n": args.max_n},
+                  [_count_result(r) for r in reports], lines)
             return 0
         r = universal_count(args.n)
-        result = {
-            "n": r.n,
-            "input_combinations": r.input_combinations,
-            "gate_count": r.gate_count,
-            "endpoint_free": r.endpoint_free,
-            "universal": r.universal,
-            "ratio": {"num": r.ratio.numerator, "den": r.ratio.denominator},
-            "ratio_decimal": r.ratio_decimal,
-        }
         lines = [
             f"N={r.n}: inputs={r.input_combinations} gates={r.gate_count} "
             f"endpoint-free={r.endpoint_free} U={r.universal} "
             f"ratio={r.ratio.numerator}/{r.ratio.denominator} ({r.ratio_decimal})"
         ]
-        _emit(args, "count", {"n": r.n}, result, lines)
+        _emit(args, "count", {"n": r.n}, _count_result(r), lines)
         return 0
 
 
@@ -268,7 +272,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("count", help="closed-form universal-gate counts")
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--n", type=int, help="arity (2..16)")
-    which.add_argument("--max-n", type=int, help="emit a CSV series for 2..MAX_N")
+    which.add_argument("--max-n", type=int,
+                       help="the series for 2..MAX_N (CSV, or a JSON list)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=_cmd_count)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ from sheffer.bitfunc import TruthTable
 from sheffer.census import (
     CSV_FIELDS,
     CSV_HEADER,
+    CensusRow,
     class_keys,
     diff_against_reference,
     emit_report,
@@ -20,6 +22,7 @@ from sheffer.census import (
     universal_count,
     universal_ratio,
 )
+from sheffer.classify import classify, hex_fast_track
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +227,62 @@ def test_render_json_mirrors_csv(census3):
         assert list(row) == list(CSV_FIELDS)
         cells = line.split(",")
         assert [_csv_cell(f, v) for f, v in row.items()] == cells
+
+
+#: sha256 of the CSV and JSON renderings of each census, pinned before the
+#: census was built from membership columns.
+CENSUS_DIGESTS = {
+    2: ("208bc90f6b38ced96e12e1f10cec2b3362de96dd0f47c04e6a791c9c8c6112f1",
+        "1519547c2e539e16e12b3d6e4efc92e98ee48ea91461ad9f27c331c4aa6e7681"),
+    3: ("80bd5e19ca0a5c62a411718a45137754163a52c1f914c7538ea8e6cf2e171189",
+        "dfa3e2f4e3311d7c6bec677a80d76c7484f2226f8b9cfbdeef8c6a50e81ece8a"),
+    4: ("063d36ff3483e54d16d505c6671a6b33fb3345d57d348968a09791336b493ff4",
+        "d16bfcb06b4d760edb1a324ba2882df22493498dd6de851194203e3f2ae2eae2"),
+}
+
+
+@pytest.fixture(scope="module")
+def census4():
+    return enumerate_all(4)
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_renderings_are_pinned(request, arity):
+    table = request.getfixturevalue(f"census{arity}")
+    digests = tuple(hashlib.sha256(render(table).encode()).hexdigest()
+                    for render in (render_csv, render_json))
+    assert digests == CENSUS_DIGESTS[arity]
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_rows_match_scalar_classify(request, arity):
+    table = request.getfixturevalue(f"census{arity}")
+    expected = []
+    for code, row in enumerate(table.rows):
+        tt = TruthTable(arity, code)
+        flags = classify(tt)
+        expected.append(CensusRow(
+            *(getattr(flags, name) for name in flags.__match_args__),
+            closure_plain=row.closure_plain,
+            closure_const=row.closure_const,
+            fast_track=hex_fast_track(tt) if arity >= 3 else None,
+        ))
+    assert table.rows == tuple(expected)
+
+
+def test_census_builds_no_per_gate_tables(monkeypatch):
+    built = []
+    monkeypatch.setattr(TruthTable, "__post_init__", lambda self: built.append(self))
+    table = enumerate_all(4)
+    render_csv(table)
+    render_json(table)
+    assert built == []
+
+
+def test_tables_compare_and_pickle_by_columns(census2):
+    twin = enumerate_all(2)
+    assert twin == census2
+    assert pickle.loads(pickle.dumps(census2)) == census2
+    # A built row cache does not enter the comparison.
+    assert len(census2.rows) == 16
+    assert twin == census2

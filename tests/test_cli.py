@@ -94,6 +94,27 @@ def test_count_rejects_n_with_max_n(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_count_series_json_envelope(capsys):
+    code, out, err = run(capsys, "count", "--max-n", "4", "--json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert list(data) == ["command", "input", "result"]
+    assert data["command"] == "count" and data["input"] == {"max_n": 4}
+    singles = []
+    for n in (2, 3, 4):
+        _, single, _ = run(capsys, "count", "--n", str(n), "--json")
+        singles.append(json.loads(single)["result"])
+    assert data["result"] == singles
+
+
+def test_count_series_json_beyond_int_digit_limit(capsys):
+    code, out, err = run(capsys, "count", "--max-n", "16", "--json")
+    assert code == 0 and err == ""
+    result = json.loads(out, parse_int=Decimal)["result"]
+    assert [item["n"] for item in result] == list(range(2, 17))
+    assert result[-1]["gate_count"] == 1 << 65536
+
+
 def test_mux(capsys):
     code, out, _ = run(capsys, "mux", "--gate", "4685", "--select", "A,B")
     assert code == 0
@@ -199,6 +220,17 @@ def test_census_json(capsys):
     code, out, _ = run(capsys, "census", "--n", "2", "--format", "json")
     assert code == 0
     assert json.loads(out)["arity"] == 2
+
+
+def test_census_json_is_the_census_document(capsys):
+    # The census writes its own JSON document, not the command envelope,
+    # and takes no --json flag.
+    code, out, _ = run(capsys, "census", "--n", "2", "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)) == ["arity", "rows"]
+    code, out, err = run(capsys, "census", "--n", "2", "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_usage_errors_exit_one(capsys):
