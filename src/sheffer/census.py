@@ -9,19 +9,14 @@ halves of each encoding, and the paper's fast track looks the same two
 halves up one arity down.  The table keeps one column per field, and
 the CSV and JSON renderings are written from the columns; the per-gate
 `CensusRow` objects are built only when `CensusTable.rows` is read.
-Post's completeness theorem settles the closure counts of complete
-gates: a gate that is universal alone (or with the constants) generates
-every function, and being non-constant it realizes each one as the
-output of a single application, so its count is the whole space of
-2**(2**N) functions.  The enumerator runs only for the other gates, and
-only once per class under input permutation and duality (46 classes for
-the 256 three-input gates): permuting a gate's inputs leaves the clone it
-generates unchanged, and the dual gate generates the dual clone, which
-has the same size (projections are self-dual and the constants 0 and 1
-swap).  The counting identities give the number of standalone-universal
-gates in closed form: with G = 2**(2**N) gates in total, G/4 fix neither
-constant input row and sqrt(G/4) of those are self-dual, so
-U = G/4 - sqrt(G/4) exactly.
+Through three inputs both closure counts come from the clone oracle,
+`clones.closure_counts`: a gate realizes exactly the functions in every
+clone of Post's lattice that contains it, so the counts are read off
+clone columns of the same kind, and no circuit is built.  The counting
+identities give the number of standalone-universal gates in closed
+form: with G = 2**(2**N) gates in total, G/4 fix neither constant input
+row and sqrt(G/4) of those are self-dual, so U = G/4 - sqrt(G/4)
+exactly.
 """
 from __future__ import annotations
 
@@ -37,12 +32,13 @@ from typing import IO, NamedTuple
 
 from .bitfunc import TruthTable, hex_width
 from .classify import FLAG_FIELDS, Classification
-# The census no longer calls `classify` or `hex_fast_track`; both stay
-# bound here because perfbench's traced run wraps `census.classify`,
-# `census.hex_fast_track` and `census.generate_closure` by name.
+# The census no longer calls `classify`, `hex_fast_track` or
+# `generate_closure`; they stay bound here because perfbench's traced run
+# wraps `census.classify`, `census.hex_fast_track` and
+# `census.generate_closure` by name.
 from .classify import classify, hex_fast_track  # noqa: F401
-from .clones import membership
-from .closure import generate_closure
+from .clones import closure_counts, membership
+from .closure import generate_closure  # noqa: F401
 
 __all__ = [
     "CensusRow",
@@ -50,7 +46,6 @@ __all__ = [
     "CountReport",
     "Divergence",
     "CSV_FIELDS",
-    "class_keys",
     "enumerate_all",
     "universal_count",
     "universal_ratio",
@@ -181,47 +176,15 @@ def _decimal6(value: Fraction) -> str:
     return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
-def class_keys(arity: int) -> tuple[int, ...]:
-    """Per code, the smallest code among its input permutations and their duals.
-
-    Gates with the same key generate clones of the same size, with and
-    without constants, so one closure per key serves the whole class.
-    """
-    n_codes = 1 << (1 << arity)
-    keys: dict[int, int] = {}
-    perms = list(itertools.permutations(range(arity)))
-    for code in range(n_codes):
-        if code in keys:
-            continue
-        # Codes are visited in ascending order, so the first member of a
-        # class to be reached is its smallest.
-        gate = TruthTable(arity, code)
-        for perm in perms:
-            image = gate.permute(perm)
-            keys[image.code] = keys[image.dual().code] = code
-    return tuple(keys[code] for code in range(n_codes))
-
-
-def _closure_counts(gate: TruthTable, alone: bool, with_constants: bool) -> tuple[int, int]:
-    """Closure counts of one gate without and with constants, given its two verdicts."""
-    full = 1 << gate.n_rows
-    plain = full if alone else generate_closure(gate, False, witnesses=False).count
-    const = full if with_constants else generate_closure(gate, True, witnesses=False).count
-    return plain, const
-
-
 def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
     """Census every gate of one arity (2..4), in code order.
 
     The class flags and both verdicts are the `membership` columns.
     From three inputs `fast_track` is `hex_fast_track` for every code at
     once: the `universal_with_constants` column one arity down, looked up
-    at both halves of the code.  Closure counts are computed only through
-    three inputs; at four the columns are omitted.  Complete gates take
-    the full-space count from their verdicts, and the other closures run
-    once per `class_keys` class, which is exact because input permutation
-    and duality preserve both counts.  The census runs in this process;
-    `workers` is accepted and has no effect.
+    at both halves of the code.  Through three inputs both closure
+    columns are `clones.closure_counts`; at four they are omitted.  The
+    census runs in this process; `workers` is accepted and has no effect.
     """
     if arity not in (2, 3, 4):
         raise ValueError(f"census supports arities 2..4, got {arity}")
@@ -233,14 +196,8 @@ def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
         fast_track = tuple((below[:, None] | below[None, :]).ravel().tolist())
     closure_plain = closure_const = None
     if arity <= 3:
-        keys = class_keys(arity)
-        counts = {
-            key: _closure_counts(TruthTable(arity, key), flags["universal_alone"][key],
-                                 flags["universal_with_constants"][key])
-            for key in sorted(set(keys))
-        }
-        closure_plain = tuple(counts[key][0] for key in keys)
-        closure_const = tuple(counts[key][1] for key in keys)
+        plain, const = closure_counts(arity)
+        closure_plain, closure_const = tuple(plain.tolist()), tuple(const.tolist())
     return CensusTable(arity=arity, **flags, closure_plain=closure_plain,
                        closure_const=closure_const, fast_track=fast_track)
 

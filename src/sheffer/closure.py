@@ -24,17 +24,23 @@ Synthesis asks for one target's witness, so a targeted run stops after
 the round that first realizes the target and ranks only the target's
 derivations there.  The stored witness is unchanged: rounds before it
 run in full, and a code's rank reads only the DAG masks of witnesses
-from earlier rounds.
+from earlier rounds.  `synthesize` first asks the clone oracle in
+`sheffer.clones` whether the target is realizable at all, and returns
+None for an unrealizable target without running a closure.  The
+enumerator stays the independent check on that oracle.  numpy is
+imported on the first closure, not with the module.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .bitfunc import TruthTable, compose_codes, shannon, variable_pattern
+from .clones import realizes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Circuit",
@@ -128,6 +134,8 @@ class _WitnessPool:
     """Interned witness nodes plus per-code DAG bitmasks for size scoring."""
 
     def __init__(self, arity: int, constants_enabled: bool, full: int):
+        import numpy as np
+
         self.arity = arity
         self.nodes: list[Node] = [("input", k) for k in range(arity)]
         self.arg_root = np.full(full, -1, dtype=np.int64)
@@ -144,12 +152,16 @@ class _WitnessPool:
         self._n_applies = 0
 
     def union_apply_counts(self, arg_code_arrays: list[np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         u = self.masks[arg_code_arrays[0]]
         for a in arg_code_arrays[1:]:
             u = u | self.masks[a]
         return np.bitwise_count(u).sum(axis=1).astype(np.int64) + 1
 
     def add(self, code: int, arg_codes: tuple[int, ...]) -> None:
+        import numpy as np
+
         children = tuple(int(self.arg_root[a]) for a in arg_codes)
         self.nodes.append(("apply", children))
         node_id = len(self.nodes) - 1
@@ -209,6 +221,8 @@ def generate_closure(
     run would store.  A target the gate never reaches leaves the report
     exact and complete with `witnesses={}`.
     """
+    import numpy as np
+
     n = gate.arity
     if n > 4:
         raise ValueError(f"closure computation supports at most 4 inputs, got {n}")
@@ -357,6 +371,8 @@ def _sweep_block(
     round_best: dict[int, tuple],
 ) -> bool:
     """Compose the gate over one block of tuples; returns True on full space."""
+    import numpy as np
+
     full = rowmask + 1
     trailing = []
     trailing_size = 1
@@ -402,6 +418,8 @@ def _collect_candidates(
     round_best: dict[int, tuple],
 ) -> None:
     """Fold this chunk's derivations of the collected codes into the round's best."""
+    import numpy as np
+
     out_codes = flat[sel]
     multi = np.unravel_index(sel, chunk_shape)
     arg_arrays = [lead[lead_offset + multi[0]]]
@@ -429,7 +447,9 @@ def synthesize(
     """Minimal stored witness turning `gate` into `target`, or None.
 
     None means the target is not realizable from this generator (with
-    the given constant setting).
+    the given constant setting).  The clone oracle decides that without
+    a closure; a realizable target's witness comes from a targeted
+    `generate_closure` run.
     """
     if gate.arity != target.arity:
         raise ValueError(
@@ -437,6 +457,8 @@ def synthesize(
         )
     if gate.arity > 3:
         raise ValueError("witness synthesis supports at most 3 inputs")
+    if not realizes(gate, target, constants_enabled):
+        return None
     report = generate_closure(
         gate, constants_enabled, witnesses=True, target=target.code
     )

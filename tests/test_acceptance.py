@@ -27,6 +27,7 @@ from sheffer.classify import (
     universal_with_constants,
     universality_scan,
 )
+from sheffer.clones import closure_set
 from sheffer.closure import generate_closure, verify_circuit
 
 
@@ -120,8 +121,8 @@ def test_criterion_5_with_constants_census(census3):
 
 
 def test_criterion_6_oracle_predicate_equivalence(reports2, reports3):
-    # The census takes complete gates' closure columns from these verdicts,
-    # so the verdicts are checked against the per-gate enumerator instead.
+    # The verdicts are checked against the per-gate enumerator, which is
+    # independent of both the predicates and the clone oracle.
     ok = True
     for arity, reports in ((2, reports2), (3, reports3)):
         full = 1 << (1 << arity)
@@ -142,14 +143,26 @@ def test_criterion_6_oracle_predicate_equivalence(reports2, reports3):
 
 
 def test_class_cached_closure_counts_match_per_gate(census2, census3, reports2, reports3):
-    # The census computes closures once per permutation/duality class;
-    # the reports ran the enumerator on every gate.
+    # The census reads its closure counts from the clone oracle; the
+    # reports ran the enumerator on every gate.
     for census, reports in ((census2, reports2), (census3, reports3)):
         for row in census.rows:
             assert row.closure_plain == reports[(row.code, False)].count, row.gate
             assert row.closure_const == reports[(row.code, True)].count, row.gate
-    report_line("class cache", True,
-                "census closure counts equal per-gate closures for all 272 gates")
+    report_line("clone oracle", True,
+                "oracle closure counts equal per-gate enumerated closures for all 272 gates")
+
+
+def test_clone_oracle_sets_match_enumerator(reports2, reports3):
+    checked = 0
+    for arity, reports in ((2, reports2), (3, reports3)):
+        for (code, constants), report in reports.items():
+            oracle = closure_set(TruthTable(arity, code), constants)
+            assert oracle.realized == report.realized, (arity, code, constants)
+            assert oracle.count == report.count
+            checked += 1
+    report_line("clone oracle", checked == 544,
+                f"oracle realized sets equal the enumerator's for {checked} closures")
 
 
 def _projection_code(n, var):

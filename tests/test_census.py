@@ -1,18 +1,19 @@
 import hashlib
 import io
-import itertools
 import json
 import pickle
 from fractions import Fraction
 
 import pytest
 
+import sheffer.census as census_mod
+import sheffer.clones as clones_mod
+import sheffer.closure as closure_mod
 from sheffer.bitfunc import TruthTable
 from sheffer.census import (
     CSV_FIELDS,
     CSV_HEADER,
     CensusRow,
-    class_keys,
     diff_against_reference,
     emit_report,
     enumerate_all,
@@ -133,21 +134,6 @@ def test_workers_do_not_change_output(census2):
 def test_process_pool_does_not_change_output():
     # The census is serial; `workers` is still accepted and has no effect.
     assert render_csv(enumerate_all(3, workers=2)) == render_csv(enumerate_all(3, workers=1))
-
-
-@pytest.mark.parametrize("arity,classes", [(2, 7), (3, 46)])
-def test_class_keys_are_orbit_minima(arity, classes):
-    keys = class_keys(arity)
-    assert len(keys) == 1 << (1 << arity)
-    assert len(set(keys)) == classes
-    for code, key in enumerate(keys):
-        gate = TruthTable(arity, code)
-        images = set()
-        for perm in itertools.permutations(range(arity)):
-            image = gate.permute(perm)
-            images |= {image.code, image.dual().code}
-        assert key == min(images)
-        assert {keys[c] for c in images} == {key}
 
 
 def test_rows_survive_pickling(census3):
@@ -286,3 +272,28 @@ def test_tables_compare_and_pickle_by_columns(census2):
     # A built row cache does not enter the comparison.
     assert len(census2.rows) == 16
     assert twin == census2
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_census_closure_columns_run_no_closure(monkeypatch, arity):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the census ran a closure")
+
+    monkeypatch.setattr(census_mod, "generate_closure", spy)
+    monkeypatch.setattr(closure_mod, "generate_closure", spy)
+    table = enumerate_all(arity)
+    assert calls == []
+    assert table.closure_plain[0] == table.closure_const[0] == 1
+
+
+def test_census4_builds_no_clone_column(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the N=4 census built a clone column")
+
+    monkeypatch.setattr(clones_mod, "clone_columns", fail)
+    monkeypatch.setattr(census_mod, "closure_counts", fail)
+    table = enumerate_all(4)
+    assert table.closure_plain is None and table.closure_const is None

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import sheffer
 import sheffer.closure as closure_mod
 from sheffer.cli import main
 
@@ -250,3 +254,18 @@ def test_reruns_byte_identical(capsys):
     _, first, _ = run(capsys, "classify", "--gate", "E8", "--json")
     _, second, _ = run(capsys, "classify", "--gate", "E8", "--json")
     assert first == second
+
+
+def test_cli_imports_numpy_lazily():
+    # A classify call needs no array code; numpy loads with the first
+    # closure or column build.
+    code = ("import sys, sheffer, sheffer.cli\n"
+            "from sheffer.cli import main\n"
+            "assert main(['classify', '--gate', '7']) == 0\n"
+            "print('numpy' in sys.modules)")
+    src = str(Path(sheffer.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.splitlines()[-1] == "False"

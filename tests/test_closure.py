@@ -177,6 +177,11 @@ def _synthesize_matches_full_report(calls, full, target):
     tt = full.generator
     circuit = synthesize(tt, TruthTable(tt.arity, target), full.constants_enabled)
     assert circuit == full.witnesses.get(target), (tt, full.constants_enabled, target)
+    if circuit is None:
+        # The clone oracle answers alone; the spy records a targeted run,
+        # which must find nothing either.
+        assert calls == []
+        closure_mod.generate_closure(tt, full.constants_enabled, witnesses=True, target=target)
     [(kwargs, report)] = calls
     assert kwargs["witnesses"] is True
     assert report.realized & ~full.realized == 0
@@ -240,10 +245,15 @@ def test_target_needs_witness_mode(text, arity, budget):
 def test_synthesize_makes_one_witness_mode_closure(monkeypatch):
     # Benchmarks trace `synthesize` through the module-level binding.
     calls = _spy_on_generate_closure(monkeypatch)
-    for text in ("7", "8"):  # XOR is realizable from NAND, not from AND
-        calls.clear()
-        synthesize(gate(text, 2), gate("6", 2))
-        assert [kwargs["witnesses"] for kwargs, _ in calls] == [True]
+    assert synthesize(gate("7", 2), gate("6", 2)) is not None  # NAND -> XOR
+    assert [kwargs["witnesses"] for kwargs, _ in calls] == [True]
+
+
+def test_synthesize_decides_unrealizable_without_a_closure(monkeypatch):
+    # AND is monotone and XOR is not, so the clone oracle rules XOR out.
+    calls = _spy_on_generate_closure(monkeypatch)
+    assert synthesize(gate("8", 2), gate("6", 2)) is None
+    assert calls == []
 
 
 def test_verify_circuit_projection_and_const():
