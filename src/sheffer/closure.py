@@ -21,14 +21,16 @@ as soon as the full function space is reached (the set is then trivially
 closed, so the report is identical to running to quiescence).
 
 Synthesis asks for one target's witness, so a targeted run stops after
-the round that first realizes the target and ranks only the target's
-derivations there.  The stored witness is unchanged: rounds before it
-run in full, and a code's rank reads only the DAG masks of witnesses
-from earlier rounds.  `synthesize` first asks the clone oracle in
-`sheffer.clones` whether the target is realizable at all, and returns
-None for an unrealizable target without running a closure.  The
-enumerator stays the independent check on that oracle.  numpy is
-imported on the first closure, not with the module.
+the round that first realizes the target.  Every round is swept once;
+from the first chunk of that round that yields the target, the sweep
+ranks only the target's derivations.  The stored witness is unchanged:
+rounds before it run in full, every chunk of the target's round still
+collects the target's candidates, and a code's rank reads only the DAG
+masks of witnesses from earlier rounds.  `synthesize` first asks the
+clone oracle in `sheffer.clones` whether the target is realizable at
+all, and returns None for an unrealizable target without running a
+closure.  The enumerator stays the independent check on that oracle.
+numpy is imported on the first closure, not with the module.
 """
 from __future__ import annotations
 
@@ -212,22 +214,25 @@ def generate_closure(
     Exhaustive through three inputs.  Four-input runs must pass an
     explicit `budget` capping the working-set size; they report a lower
     bound (complete=False when the budget bites) and never witnesses.
-    A `budget` below 1 raises ValueError at every arity.
+    A `budget` that is not an int of at least 1 raises ValueError at
+    every arity.
 
     `target`, a code, asks for that code's witness alone (witness mode,
-    at most three inputs).  The run stops after the round that first
-    realizes it, with complete=False, stopped_by="target", a lower-bound
-    `realized` and `witnesses={target: circuit}`, the circuit the full
-    run would store.  A target the gate never reaches leaves the report
-    exact and complete with `witnesses={}`.
+    at most three inputs).  Each round is swept once, as in a full run;
+    once a chunk yields the target, the rest of the round ranks only the
+    target's derivations.  The run stops after that round, with
+    complete=False, stopped_by="target", a lower-bound `realized` and
+    `witnesses={target: circuit}`, the circuit the full run would store.
+    A target the gate never reaches leaves the report exact and complete
+    with `witnesses={}`.
     """
     import numpy as np
 
     n = gate.arity
     if n > 4:
         raise ValueError(f"closure computation supports at most 4 inputs, got {n}")
-    if budget is not None and budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if budget is not None and not (_is_index(budget, math.inf) and budget >= 1):
+        raise ValueError(f"budget must be a positive int, got {budget!r}")
     m = 1 << n
     full = 1 << m
     if target is not None:
@@ -259,37 +264,33 @@ def generate_closure(
     while frontier.size:
         rounds += 1
         current = np.sort(np.concatenate([old, frontier]))
-        blocks = (gate.code, n, rowmask, old, frontier, current)
-        if target is not None:
-            # A count-mode trial says whether this is the target's round;
-            # earlier rounds run in full, as their DAG masks rank later ones.
-            trial = realized.copy()
-            _sweep_round(*blocks, trial, None, None, {})
-            if trial[target]:
-                wanted = np.zeros(full, dtype=bool)
-                wanted[target] = True
-                best: dict[int, tuple] = {}
-                _sweep_round(*blocks, realized, wanted, pool, best)
-                pool.add(target, best[target][1])
-                stopped_by = "target"
-                break
-
         new_this_round = ~realized  # snapshot: not yet realized at round start
         round_best: dict[int, tuple] = {}
-        hit_full, capped = _sweep_round(
-            *blocks, realized, new_this_round, pool, round_best
-        )
-        if capped:
-            stopped_by = "sweep_cap"
+        for i in range(n):
+            # Tuples partitioned by the first frontier position: earlier
+            # arguments old, that one frontier, the rest unrestricted.
+            srcs = [old] * i + [frontier] + [current] * (n - 1 - i)
+            if any(s.size == 0 for s in srcs):
+                continue
+            if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
+                stopped_by = "sweep_cap"
+                break
+            if _sweep_block(
+                gate.code, n, rowmask, srcs, realized, new_this_round, pool,
+                round_best, target,
+            ):
+                break  # count mode reached the full space
 
+        if target is not None and realized[target]:
+            pool.add(target, round_best[target][1])
+            stopped_by = "target"
+            break
         if pool is not None:
-            new_codes = np.flatnonzero(realized & new_this_round)
-            for code in new_codes.tolist():
-                _, args = round_best[code]
-                pool.add(code, args)
+            for code in np.flatnonzero(realized & new_this_round).tolist():
+                pool.add(code, round_best[code][1])
 
         count = int(np.count_nonzero(realized))
-        if count == full or hit_full or capped:
+        if count == full or stopped_by:
             break
 
         new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)
@@ -327,50 +328,26 @@ def generate_closure(
     )
 
 
-def _sweep_round(
-    gate_code: int,
-    n: int,
-    rowmask: int,
-    old: np.ndarray,
-    frontier: np.ndarray,
-    current: np.ndarray,
-    realized: np.ndarray,
-    collect: np.ndarray | None,
-    pool: _WitnessPool | None,
-    round_best: dict[int, tuple],
-) -> tuple[bool, bool]:
-    """Sweep one round's tuple blocks; returns (hit full space, hit sweep cap).
-
-    In witness mode the best derivation of each code set in `collect` is
-    folded into `round_best`; count mode (`pool` None) returns as soon as
-    the full space is reached.
-    """
-    for i in range(n):
-        # Tuples partitioned by the first frontier position: earlier
-        # arguments old, that one frontier, the rest unrestricted.
-        srcs = [old] * i + [frontier] + [current] * (n - 1 - i)
-        if any(s.size == 0 for s in srcs):
-            continue
-        if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
-            return False, True
-        if _sweep_block(
-            gate_code, n, rowmask, srcs, realized, collect, pool, round_best
-        ):
-            return True, False
-    return False, False
-
-
 def _sweep_block(
     gate_code: int,
     n: int,
     rowmask: int,
     srcs: list[np.ndarray],
     realized: np.ndarray,
-    collect: np.ndarray | None,
+    collect: np.ndarray,
     pool: _WitnessPool | None,
     round_best: dict[int, tuple],
+    target: int | None,
 ) -> bool:
-    """Compose the gate over one block of tuples; returns True on full space."""
+    """Compose the gate over one block of tuples.
+
+    In witness mode the best derivation of each code set in `collect`
+    is folded into `round_best`.  Once `target` is realized, `collect`,
+    the round's own snapshot, is narrowed in place to the target alone,
+    so the rest of the round ranks only the target's derivations.
+    Count mode (`pool` None) returns True as soon as the full space is
+    reached, and False otherwise.
+    """
     import numpy as np
 
     full = rowmask + 1
@@ -395,6 +372,10 @@ def _sweep_block(
         flat = out.ravel()
         realized[flat] = True
 
+        if target is not None and realized[target]:
+            collect[:] = False
+            collect[target] = True
+            target = None  # stays narrowed for the rest of the round
         if pool is not None:
             sel = np.flatnonzero(collect[flat])
             if sel.size:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -19,6 +20,10 @@ from sheffer.closure import (
     synthesize,
     verify_circuit,
 )
+
+
+#: sha256 of every witness in the `reports2` and `witness_reports` fixtures.
+WITNESS_DIGEST = "eccc3d6f823c91c31ea1020fe931537de5933f0c7e41a24f92d9bf90665494dc"
 
 
 def gate(text, arity):
@@ -242,6 +247,50 @@ def test_target_needs_witness_mode(text, arity, budget):
             generate_closure(gate(text, arity), budget=budget, target=0)
 
 
+def _spy_on_sweep_blocks(monkeypatch):
+    """Record the source sizes of each block a closure sweeps."""
+    sizes = []
+    real = closure_mod._sweep_block
+
+    def spy(gate_code, n, rowmask, srcs, *rest):
+        sizes.append(tuple(s.size for s in srcs))
+        return real(gate_code, n, rowmask, srcs, *rest)
+
+    monkeypatch.setattr(closure_mod, "_sweep_block", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("text,arity", [("7", 2), ("2B", 3)])
+def test_targeted_run_sweeps_each_round_once(monkeypatch, witness_reports, text, arity):
+    # NAND -> XOR, and a plain 2B target found in its last round.
+    tt = gate(text, arity)
+    if arity == 2:
+        target = 0x6
+    else:
+        found = witness_reports[(tt.code, False)].witnesses
+        target = max(found, key=lambda code: _depth(found[code]))
+    sizes = _spy_on_sweep_blocks(monkeypatch)
+    generate_closure(tt, witnesses=True)
+    untargeted = list(sizes)
+    sizes.clear()
+    report = generate_closure(tt, witnesses=True, target=target)
+    assert report.stopped_by == "target" and report.rounds > 1
+    assert sizes == untargeted[: len(sizes)]
+
+
+def test_witness_maps_are_pinned(reports2, witness_reports):
+    # The targeted-vs-full tests compare one engine with itself; this pin
+    # catches a change to the ranking both share.
+    digest = hashlib.sha256()
+    for reports in (reports2, witness_reports):
+        for key in sorted(reports):
+            report = reports[key]
+            for code in sorted(report.witnesses):
+                record = [*key, code, circuit_to_json(report.witnesses[code], report.generator)]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
+
+
 def test_synthesize_makes_one_witness_mode_closure(monkeypatch):
     # Benchmarks trace `synthesize` through the module-level binding.
     calls = _spy_on_generate_closure(monkeypatch)
@@ -438,7 +487,7 @@ def test_four_inputs_budgeted_lower_bound():
 
 
 @pytest.mark.parametrize("text,arity", [("7", 2), ("2B", 3), ("4685", 4)])
-@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("budget", [0, -5, 2.5, True, "3"])
 def test_nonpositive_budget_rejected(text, arity, budget):
     with pytest.raises(ValueError, match="budget"):
         generate_closure(gate(text, arity), budget=budget)
