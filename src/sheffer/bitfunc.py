@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 MAX_ARITY = 6
 
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 
 
 def hex_width(arity: int) -> int:
@@ -25,9 +25,21 @@ def hex_width(arity: int) -> int:
     return max(1, (1 << arity) // 4)
 
 
-def _check_arity(arity: int) -> None:
-    if not isinstance(arity, int) or isinstance(arity, bool) or not 1 <= arity <= MAX_ARITY:
-        raise ValueError(f"arity must be an integer in 1..{MAX_ARITY}, got {arity!r}")
+def _is_index(value: object, bound: int) -> bool:
+    """True iff `value` is an int in 0..bound-1; bools, floats and strings are not."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
+
+
+def _check_arity(arity: int, top: int = MAX_ARITY) -> None:
+    if not (_is_index(arity, top + 1) and arity >= 1):
+        raise ValueError(f"arity must be an integer in 1..{top}, got {arity!r}")
+
+
+def _bit(value: object) -> int:
+    """An input or output bit: 0, 1, False or True, and nothing else."""
+    if isinstance(value, bool) or _is_index(value, 2):
+        return int(value)
+    raise ValueError(f"a bit must be 0 or 1, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,8 +55,7 @@ class TruthTable:
 
     def __post_init__(self) -> None:
         _check_arity(self.arity)
-        if (not isinstance(self.code, int) or isinstance(self.code, bool)
-                or not 0 <= self.code < (1 << self.n_rows)):
+        if not _is_index(self.code, 1 << self.n_rows):
             raise ValueError(
                 f"code must be in 0..{(1 << self.n_rows) - 1} for arity {self.arity}, "
                 f"got {self.code!r}"
@@ -68,7 +79,7 @@ class TruthTable:
             raise ValueError(
                 f"expected exactly {width} hex digit(s) for arity {arity}, got {text!r}"
             )
-        if not set(text) <= _HEX_DIGITS:
+        if not isinstance(text, str) or text.strip(_HEX_DIGITS):
             raise ValueError(f"invalid hex encoding {text!r}")
         code = int(text, 16)
         if code >= 1 << (1 << arity):
@@ -79,7 +90,7 @@ class TruthTable:
     def from_rows(cls, arity: int, rows: Iterable[int]) -> "TruthTable":
         """Build a table from its 2**arity output bits, row 0 first."""
         _check_arity(arity)
-        bits = [1 if b else 0 for b in rows]
+        bits = [_bit(b) for b in rows]
         if len(bits) != 1 << arity:
             raise ValueError(f"expected {1 << arity} rows, got {len(bits)}")
         code = 0
@@ -105,7 +116,7 @@ class TruthTable:
             )
         r = 0
         for b in bits:
-            r = (r << 1) | (1 if b else 0)
+            r = (r << 1) | _bit(b)
         return (self.code >> r) & 1
 
     def cofactor(self, var: int, value: int) -> "TruthTable":
@@ -118,8 +129,10 @@ class TruthTable:
         """
         if self.arity < 2:
             raise ValueError("cofactor of a 1-input table would be a constant")
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable {var} out of range for arity {self.arity}")
+        if not _is_index(var, self.arity):
+            raise ValueError(f"variable {var!r} out of range for arity {self.arity}")
+        if not _is_index(value, 2):
+            raise ValueError(f"cofactor value must be 0 or 1, got {value!r}")
         k = self.arity - 1
         args = [variable_pattern(k, k - 1 - j) for j in range(k)]
         args.insert(var, constant(k, value).code)
@@ -138,7 +151,7 @@ class TruthTable:
         """
         n = self.arity
         perm = list(mapping)
-        if sorted(perm) != list(range(n)):
+        if not all(_is_index(v, n) for v in perm) or sorted(perm) != list(range(n)):
             raise ValueError(f"{mapping!r} is not a permutation of 0..{n - 1}")
         args = [variable_pattern(n, n - 1 - new) for new in perm]
         return TruthTable(n, compose_codes(self.code, n, args, n))
@@ -160,14 +173,16 @@ def variable_pattern(arity: int, bitpos: int) -> int:
 def projection(arity: int, var: int) -> TruthTable:
     """The identity function on variable `var`."""
     _check_arity(arity)
-    if not 0 <= var < arity:
-        raise ValueError(f"variable {var} out of range for arity {arity}")
+    if not _is_index(var, arity):
+        raise ValueError(f"variable {var!r} out of range for arity {arity}")
     return TruthTable(arity, variable_pattern(arity, arity - 1 - var))
 
 
 def constant(arity: int, value: int) -> TruthTable:
     """The constant-0 or constant-1 function."""
     _check_arity(arity)
+    if not _is_index(value, 2):
+        raise ValueError(f"constant value must be 0 or 1, got {value!r}")
     return TruthTable(arity, ((1 << (1 << arity)) - 1) if value else 0)
 
 

@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import IO, NamedTuple
 
-from .bitfunc import TruthTable, hex_width
+from .bitfunc import _HEX_DIGITS, TruthTable, hex_width
 from .classify import FLAG_FIELDS, Classification
 # The census no longer calls `classify`, `hex_fast_track` or
 # `generate_closure`; they stay bound here because perfbench's traced run
@@ -334,10 +334,9 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
     out: list[Divergence] = []
     for record in reader:
         raw_code = (record.get("code") or "").strip()
-        try:
-            code = int(raw_code, 16)
-        except ValueError as exc:
-            raise ValueError(f"reference {origin}: bad code {raw_code!r}") from exc
+        if not raw_code or raw_code.strip(_HEX_DIGITS):
+            raise ValueError(f"reference {origin}: bad code {raw_code!r}")
+        code = int(raw_code, 16)
         if not 0 <= code < size:
             raise ValueError(f"reference {origin}: code {raw_code} not in census")
         for field in fields:

@@ -51,17 +51,12 @@ from itertools import combinations
 from operator import and_, or_
 from typing import NamedTuple
 
-from .bitfunc import TruthTable, variable_pattern
+from .bitfunc import TruthTable, _check_arity, variable_pattern
 from .classify import classify
 
 #: Largest arity `membership` and the clone oracle build: their columns
 #: have 2**(2**N) entries.
 MAX_COLUMN_ARITY = 4
-
-
-def _check_arity(n: object) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_COLUMN_ARITY:
-        raise ValueError(f"n must be an integer in 1..{MAX_COLUMN_ARITY}, got {n!r}")
 
 
 def membership(n: int) -> dict:
@@ -70,7 +65,7 @@ def membership(n: int) -> dict:
     Returns boolean numpy arrays of length 2**(2**n) indexed by code,
     keyed by the `Classification` attribute names.
     """
-    _check_arity(n)
+    _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
     # Arity 0: the constants 0 and 1, both monotone and affine, each the
@@ -180,7 +175,7 @@ def clones_of(gate: TruthTable) -> tuple[str, ...]:
     Scalar counterpart of `clone_columns`: the five Post classes come
     from `classify`, the rest from the same member lists and row masks.
     """
-    _check_arity(gate.arity)
+    _check_arity(gate.arity, MAX_COLUMN_ARITY)
     flags = classify(gate)
     return (*(name for name, attr in _POST_CLASSES if getattr(flags, attr)),
             *(name for name, members in _small_clones(gate.arity)
@@ -194,7 +189,7 @@ def clone_columns(n: int) -> dict:
     Returns boolean numpy arrays of length 2**(2**n) indexed by code,
     keyed by clone name: T0, T1, S, M, L, Λ, V, U, then P2..Pn and Q2..Qn.
     """
-    _check_arity(n)
+    _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
     classes = membership(n)
@@ -226,7 +221,7 @@ def closure_set(gate: TruthTable, constants: bool = False) -> ClosureSet:
     in every listed clone containing it (every such clone containing 0
     and 1, with constants); a constant gate realizes only itself.
     """
-    _check_arity(gate.arity)
+    _check_arity(gate.arity, MAX_COLUMN_ARITY)
     import numpy as np
 
     if gate.code in (0, (1 << gate.n_rows) - 1):
@@ -264,7 +259,7 @@ def realizes(gate: TruthTable, target: TruthTable, constants: bool = False) -> b
     The scalar form of a `closure_set` bit: every clone that contains the
     gate (and both constants, with constants) must contain the target.
     """
-    _check_arity(gate.arity)
+    _check_arity(gate.arity, MAX_COLUMN_ARITY)
     if gate.arity != target.arity:
         raise ValueError(f"gate arity {gate.arity} differs from target arity {target.arity}")
     full = (1 << gate.n_rows) - 1

@@ -16,9 +16,11 @@ Within its discovery round, a function's stored witness is the
 derivation with the fewest distinct gate applications in its DAG;
 remaining ties prefer argument tuples whose codes are largest first,
 which keeps projection arguments in natural variable order and lets
-sibling derivations share subcircuits.  Rounds stop at a fixed point, or
-as soon as the full function space is reached (the set is then trivially
-closed, so the report is identical to running to quiescence).
+sibling derivations share subcircuits.  `_WitnessPool.ranks` packs this
+rule into one int64 rank key per derivation, and each round keeps the
+smallest key per code.  Rounds stop at a fixed point, or as soon as the
+full function space is reached (the set is then trivially closed, so
+the report is identical to running to quiescence).
 
 Synthesis asks for one target's witness, so a targeted run stops after
 the round that first realizes the target.  Every round is swept once;
@@ -38,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .bitfunc import TruthTable, compose_codes, shannon, variable_pattern
+from .bitfunc import TruthTable, _is_index, compose_codes, shannon, variable_pattern
 from .clones import realizes
 
 if TYPE_CHECKING:
@@ -133,7 +135,14 @@ def seed_codes(arity: int, constants_enabled: bool) -> list[int]:
 
 
 class _WitnessPool:
-    """Interned witness nodes plus per-code DAG bitmasks for size scoring."""
+    """Interned witness nodes plus per-code DAG bitmasks for rank keys.
+
+    A rank key packs the module's witness rank rule into one int64: the
+    DAG size, then one byte per argument, in argument order, holding
+    0xFF minus its code.  Witness mode runs at most three inputs, so
+    every code fits in one byte.  The smallest key is the best
+    derivation, and equal keys mean equal arguments.
+    """
 
     def __init__(self, arity: int, constants_enabled: bool, full: int):
         import numpy as np
@@ -153,23 +162,29 @@ class _WitnessPool:
         self.wit_root: dict[int, int] = {}
         self._n_applies = 0
 
-    def union_apply_counts(self, arg_code_arrays: list[np.ndarray]) -> np.ndarray:
+    def ranks(self, args: list[np.ndarray]) -> np.ndarray:
+        """Rank key of each derivation whose argument codes are `args`."""
         import numpy as np
 
-        u = self.masks[arg_code_arrays[0]]
-        for a in arg_code_arrays[1:]:
+        u = self.masks[args[0]]
+        for a in args[1:]:
             u = u | self.masks[a]
-        return np.bitwise_count(u).sum(axis=1).astype(np.int64) + 1
+        key = np.bitwise_count(u).sum(axis=1, dtype=np.int64) + 1
+        for a in args:
+            key = (key << 8) | (0xFF - a.astype(np.int64))
+        return key
 
-    def add(self, code: int, arg_codes: tuple[int, ...]) -> None:
+    def add(self, code: int, key: int) -> None:
+        """Store the derivation that rank `key` encodes as `code`'s witness."""
         import numpy as np
 
+        arg_codes = [0xFF - ((key >> (8 * j)) & 0xFF) for j in reversed(range(self.arity))]
         children = tuple(int(self.arg_root[a]) for a in arg_codes)
         self.nodes.append(("apply", children))
         node_id = len(self.nodes) - 1
         bit = self._n_applies
         self._n_applies += 1
-        mask = np.bitwise_or.reduce(self.masks[list(arg_codes)], axis=0)
+        mask = np.bitwise_or.reduce(self.masks[arg_codes], axis=0)
         mask[bit // 64] |= np.uint64(1 << (bit % 64))
         self.wit_root[code] = node_id
         # Argument references keep the cheapest form: seed codes stay leaves.
@@ -265,7 +280,7 @@ def generate_closure(
         rounds += 1
         current = np.sort(np.concatenate([old, frontier]))
         new_this_round = ~realized  # snapshot: not yet realized at round start
-        round_best: dict[int, tuple] = {}
+        round_best = None if pool is None else np.full(full, np.iinfo(np.int64).max)
         for i in range(n):
             # Tuples partitioned by the first frontier position: earlier
             # arguments old, that one frontier, the rest unrestricted.
@@ -282,12 +297,12 @@ def generate_closure(
                 break  # count mode reached the full space
 
         if target is not None and realized[target]:
-            pool.add(target, round_best[target][1])
+            pool.add(target, int(round_best[target]))
             stopped_by = "target"
             break
         if pool is not None:
             for code in np.flatnonzero(realized & new_this_round).tolist():
-                pool.add(code, round_best[code][1])
+                pool.add(code, int(round_best[code]))
 
         count = int(np.count_nonzero(realized))
         if count == full or stopped_by:
@@ -336,15 +351,17 @@ def _sweep_block(
     realized: np.ndarray,
     collect: np.ndarray,
     pool: _WitnessPool | None,
-    round_best: dict[int, tuple],
+    round_best: np.ndarray | None,
     target: int | None,
 ) -> bool:
     """Compose the gate over one block of tuples.
 
-    In witness mode the best derivation of each code set in `collect`
-    is folded into `round_best`.  Once `target` is realized, `collect`,
-    the round's own snapshot, is narrowed in place to the target alone,
-    so the rest of the round ranks only the target's derivations.
+    In witness mode each chunk's derivations of the codes set in
+    `collect` get their `_WitnessPool.ranks` keys, and `round_best`
+    keeps the smallest key per code.  Once `target` is realized,
+    `collect`, the round's own snapshot, is narrowed in place to the
+    target alone, so the rest of the round ranks only the target's
+    derivations.
     Count mode (`pool` None) returns True as soon as the full space is
     reached, and False otherwise.
     """
@@ -364,7 +381,6 @@ def _sweep_block(
     cache: dict = {}
     lead = srcs[0]
     step = max(1, _CHUNK_ELEMS // trailing_size)
-    chunk_shape_tail = [srcs[j].size for j in range(1, n)]
 
     for lo in range(0, lead.size, step):
         x = lead[lo : lo + step].reshape([-1] + [1] * (n - 1))
@@ -379,47 +395,12 @@ def _sweep_block(
         if pool is not None:
             sel = np.flatnonzero(collect[flat])
             if sel.size:
-                _collect_candidates(
-                    sel, flat, lead, lo, srcs, [x.shape[0]] + chunk_shape_tail,
-                    pool, round_best,
-                )
+                multi = np.unravel_index(sel, out.shape)
+                args = [x.ravel()[multi[0]], *(srcs[j][multi[j]] for j in range(1, n))]
+                np.minimum.at(round_best, flat[sel], pool.ranks(args))
         elif int(np.count_nonzero(realized)) == full:
             return True
     return False
-
-
-def _collect_candidates(
-    sel: np.ndarray,
-    flat: np.ndarray,
-    lead: np.ndarray,
-    lead_offset: int,
-    srcs: list[np.ndarray],
-    chunk_shape: list[int],
-    pool: _WitnessPool,
-    round_best: dict[int, tuple],
-) -> None:
-    """Fold this chunk's derivations of the collected codes into the round's best."""
-    import numpy as np
-
-    out_codes = flat[sel]
-    multi = np.unravel_index(sel, chunk_shape)
-    arg_arrays = [lead[lead_offset + multi[0]]]
-    for j in range(1, len(srcs)):
-        arg_arrays.append(srcs[j][multi[j]])
-
-    apply_counts = pool.union_apply_counts(arg_arrays)
-    # Rank: produced code, then DAG size, then descending argument codes.
-    desc_keys = [np.uint16(0xFFFF) - a for a in arg_arrays]
-    order = np.lexsort(tuple(reversed(desc_keys)) + (apply_counts, out_codes))
-    sorted_codes = out_codes[order]
-    uniq, first = np.unique(sorted_codes, return_index=True)
-    for code, fi in zip(uniq.tolist(), first.tolist()):
-        i = int(order[fi])
-        args = tuple(int(a[i]) for a in arg_arrays)
-        key = (int(apply_counts[i]), tuple(0xFFFF - a for a in args))
-        best = round_best.get(code)
-        if best is None or key < best[0]:
-            round_best[code] = (key, args)
 
 
 def synthesize(
@@ -445,11 +426,6 @@ def synthesize(
     )
     assert report.witnesses is not None
     return report.witnesses.get(target.code)
-
-
-def _is_index(value: object, bound: int) -> bool:
-    """True iff `value` is an int in 0..bound-1; bools, floats and strings are not."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < bound
 
 
 def verify_circuit(circuit: Circuit, generator: TruthTable) -> TruthTable:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bitfunc import TruthTable
+from .bitfunc import TruthTable, _is_index
 from .classify import universal_with_constants
 
 __all__ = [
@@ -61,10 +61,10 @@ def mux_decompose(tt: TruthTable, select_vars: Sequence[int]) -> MuxCircuit:
     sel = tuple(select_vars)
     if not sel:
         raise ValueError("at least one select variable is required")
+    if not all(_is_index(v, tt.arity) for v in sel):
+        raise ValueError(f"select variables {sel} out of range for arity {tt.arity}")
     if len(set(sel)) != len(sel):
         raise ValueError(f"duplicate select variables in {sel}")
-    if any(not 0 <= v < tt.arity for v in sel):
-        raise ValueError(f"select variables {sel} out of range for arity {tt.arity}")
     leaf_arity = tt.arity - len(sel)
     if leaf_arity < 2:
         raise ValueError(

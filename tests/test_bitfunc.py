@@ -106,6 +106,17 @@ def test_evaluate_length_mismatch():
         TruthTable.from_hex("85", 3).evaluate((1, 1))
 
 
+def test_bits_are_zero_or_one():
+    assert TruthTable.from_rows(2, [True, False, False, False]) == TruthTable(2, 1)
+    assert TruthTable.from_hex("85", 3).evaluate([True, True, True]) == 1
+    with pytest.raises(ValueError):
+        TruthTable.from_rows(2, [1, 0, 0, "0"])
+    with pytest.raises(ValueError):
+        TruthTable.from_rows(2, [1, 0, 0, 0.0])
+    with pytest.raises(ValueError):
+        TruthTable.from_hex("85", 3).evaluate([2, 0, 0])
+
+
 def test_compose_not_from_nand():
     nand = TruthTable.from_hex("7", 2)
     a = projection(2, 0)
@@ -194,6 +205,23 @@ def test_cofactor_errors():
         TruthTable(1, 1).cofactor(0, 0)
     with pytest.raises(ValueError):
         TruthTable(2, 6).cofactor(2, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TruthTable(2, 6).cofactor(0, 2),
+    lambda: TruthTable(2, 6).cofactor(0, "x"),
+    lambda: TruthTable(2, 6).cofactor(1.0, 1),
+    lambda: constant(3, 7),
+    lambda: projection(3, 1.0),
+    lambda: TruthTable(3, 0x2B).permute([0, 1.0, 2]),
+    lambda: TruthTable(3, 0x2B).permute([True, 0, 2]),
+], ids=["cofactor-value-2", "cofactor-value-str", "cofactor-var-float", "constant-7",
+        "projection-float", "permute-float", "permute-bool"])
+def test_index_arguments_must_be_ints_in_range(call):
+    # Every variable index and bit argument is an int in range: no bool,
+    # float or string, and no value a truthiness test would fold to 1.
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("arity", [2, 3])

@@ -151,7 +151,7 @@ def test_diff_detects_corruption(census2):
     assert "closure_plain" in str(d)
 
 
-def test_diff_rejects_malformed(census2):
+def test_diff_rejects_malformed(census2, census3):
     with pytest.raises(ValueError):
         diff_against_reference(census2, io.StringIO("closure_plain\n3\n"))
     with pytest.raises(ValueError):
@@ -160,6 +160,12 @@ def test_diff_rejects_malformed(census2):
         diff_against_reference(census2, io.StringIO("code,closure_plain\nZZ,3\n"))
     with pytest.raises(ValueError):
         diff_against_reference(census2, io.StringIO("code,closure_plain\n4685,3\n"))
+    # Only hex digits make a code: no prefix, sign or digit separator.
+    for cell in ("0x1F", "+1F", "1_F", "-0"):
+        with pytest.raises(ValueError, match="bad code"):
+            diff_against_reference(census3, io.StringIO(f"code,closure_plain\n{cell},3\n"))
+    lower = diff_against_reference(census3, io.StringIO("code,closure_plain\n1f,3\n"))
+    assert [d.code for d in lower] == [0x1F]
 
 
 def test_census_arity_validation():

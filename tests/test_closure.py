@@ -9,6 +9,7 @@ import pytest
 import sheffer.closure as closure_mod
 from sheffer.bitfunc import TruthTable, compose_codes, projection
 from sheffer.classify import universal_alone
+from sheffer.clones import realizes
 from sheffer.closure import (
     Circuit,
     ClosureBudgetError,
@@ -24,6 +25,9 @@ from sheffer.closure import (
 
 #: sha256 of every witness in the `reports2` and `witness_reports` fixtures.
 WITNESS_DIGEST = "eccc3d6f823c91c31ea1020fe931537de5933f0c7e41a24f92d9bf90665494dc"
+
+#: sha256 of the targeted witnesses of `test_targeted_witnesses_are_pinned`.
+TARGETED_DIGEST = "83643f7d188bd82866ff271f27f1cfe424eaa9581355e3254d1dcd5998c33eb5"
 
 
 def gate(text, arity):
@@ -289,6 +293,36 @@ def test_witness_maps_are_pinned(reports2, witness_reports):
                 record = [*key, code, circuit_to_json(report.witnesses[code], report.generator)]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def _class_representatives_n3():
+    """The smallest code of each class of 3-input gates under input permutation and duality."""
+    seen, reps = set(), []
+    for code in range(256):
+        if code not in seen:
+            reps.append(code)
+            for perm in itertools.permutations(range(3)):
+                moved = TruthTable(3, code).permute(perm)
+                seen.update((moved.code, moved.dual().code))
+    return reps
+
+
+def test_targeted_witnesses_are_pinned():
+    # The full-run pin covers 12 three-input gates; this one covers a
+    # targeted witness of 3 seeded realizable targets in every class.
+    reps = _class_representatives_n3()
+    assert len(reps) == 46
+    rng = random.Random(19)
+    digest = hashlib.sha256()
+    for code in reps:
+        tt = TruthTable(3, code)
+        for constants in (False, True):
+            realizable = [t for t in range(256) if realizes(tt, TruthTable(3, t), constants)]
+            for target in rng.choices(realizable, k=3):
+                circuit = synthesize(tt, TruthTable(3, target), constants)
+                record = [code, constants, target, circuit_to_json(circuit, tt)]
+                digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == TARGETED_DIGEST
 
 
 def test_synthesize_makes_one_witness_mode_closure(monkeypatch):

@@ -106,6 +106,12 @@ def test_decompose_validation():
         mux_decompose(tt, [0, 1])  # would leave 1-input leaves
 
 
+@pytest.mark.parametrize("select", [[True], [1.0]])
+def test_decompose_rejects_non_int_selects(select):
+    with pytest.raises(ValueError):
+        mux_decompose(gate("4685", 4), select)
+
+
 def test_json_shape():
     mux = mux_decompose(gate("4685", 4), [0, 1])
     data = mux_to_json(mux)
