@@ -7,16 +7,17 @@ flags and both verdicts come from `clones.membership`, whose columns
 decide every Post class for all codes of an arity at once from the two
 halves of each encoding, and the paper's fast track looks the same two
 halves up one arity down.  The table keeps one column per field, and
-the CSV and JSON renderings are written from the columns; the per-gate
-`CensusRow` objects are built only when `CensusTable.rows` is read.
-Through three inputs both closure counts come from the clone oracle,
-`clones.closure_counts`: a gate realizes exactly the functions in every
-clone of Post's lattice that contains it, so the counts are read off
-clone columns of the same kind, and no circuit is built.  The counting
-identities give the number of standalone-universal gates in closed
-form: with G = 2**(2**N) gates in total, G/4 fix neither constant input
-row and sqrt(G/4) of those are self-dual, so U = G/4 - sqrt(G/4)
-exactly.
+the per-gate `CensusRow` objects are built only when `CensusTable.rows`
+is read.  A rendered row is its code text then its tail, the text of
+every field after `code`, and each distinct tail is written once: the
+65,536 rows at four inputs share twenty.  Through three inputs both
+closure counts come from the clone oracle, `clones.closure_counts`: a
+gate realizes exactly the functions in every clone of Post's lattice
+that contains it, so the counts are read off clone columns of the same
+kind, and no circuit is built.  The counting identities give the number
+of standalone-universal gates in closed form: with G = 2**(2**N) gates
+in total, G/4 fix neither constant input row and sqrt(G/4) of those are
+self-dual, so U = G/4 - sqrt(G/4) exactly.
 """
 from __future__ import annotations
 
@@ -41,28 +42,16 @@ from .clones import closure_counts, membership
 from .closure import generate_closure  # noqa: F401
 
 __all__ = [
-    "CensusRow",
-    "CensusTable",
-    "CountReport",
-    "Divergence",
-    "CSV_FIELDS",
-    "enumerate_all",
-    "universal_count",
-    "universal_ratio",
-    "emit_report",
-    "render_csv",
-    "render_json",
-    "diff_against_reference",
-    "reference_path",
+    "CensusRow", "CensusTable", "CountReport", "Divergence", "CSV_FIELDS",
+    "enumerate_all", "universal_count", "universal_ratio", "emit_report",
+    "render_csv", "render_json", "diff_against_reference", "reference_path",
 ]
 
-CSV_FIELDS = (
-    "code",
-    *(column for column, _ in FLAG_FIELDS),
-    "closure_plain",
-    "closure_const",
-    "fast_track",
-)
+#: Each CSV field after `code`, mapped to the `CensusTable` column it is written
+#: from; the columns are in `CensusRow` field order after `gate`.
+_FIELD_COLUMNS = dict(FLAG_FIELDS) | {f: f for f in ("closure_plain", "closure_const", "fast_track")}
+
+CSV_FIELDS = ("code", *_FIELD_COLUMNS)
 
 CSV_HEADER = ",".join(CSV_FIELDS)
 
@@ -93,10 +82,6 @@ class CensusRow(Classification):
         return self.gate.code
 
 
-#: The `CensusRow` fields after `gate`; `CensusTable` holds one column of each.
-_COLUMNS = CensusRow.__match_args__[1:]
-
-
 @dataclass(frozen=True)
 class CensusTable:
     """Every census column of one arity, each a tuple in code order.
@@ -121,10 +106,15 @@ class CensusTable:
     @cached_property
     def rows(self) -> tuple[CensusRow, ...]:
         """One row per code, in code order, built on first use."""
-        columns = [itertools.repeat(None) if column is None else column
-                   for column in (getattr(self, name) for name in _COLUMNS)]
         return tuple(CensusRow(TruthTable(self.arity, code), *values)
-                     for code, values in enumerate(zip(*columns)))
+                     for code, values in enumerate(_values(self)))
+
+
+def _values(table: CensusTable) -> zip:
+    """Each code's value tuple in `_FIELD_COLUMNS` order; None for an omitted column."""
+    columns = [itertools.repeat(None) if column is None else column
+               for column in (getattr(table, attr) for attr in _FIELD_COLUMNS.values())]
+    return zip(*columns)
 
 
 @dataclass(frozen=True)
@@ -203,53 +193,69 @@ def enumerate_all(arity: int, *, workers: int | None = None) -> CensusTable:
 
 
 class _Words(NamedTuple):
-    """How one output format writes each kind of census value."""
+    """How one output format writes each kind of census value, and a row's tail."""
 
-    code: str  # printf template taking (hex width, code)
     flag: tuple[str, str]  # False, True
     fast_track: tuple[str, str]  # False, True
     missing: str
+    tail: str  # printf template taking the cells after `code`
 
 
-_CSV = _Words("%0*X", ("0", "1"), ("inconclusive", "confirmed"), "")
-_JSON = _Words('"%0*X"', ("false", "true"), ("false", "true"), "null")
-
-#: One census row as `json.dumps(..., indent=2)` lays it out inside "rows".
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{f}": %s' for f in CSV_FIELDS) + "\n    }"
+_CSV = _Words(("0", "1"), ("inconclusive", "confirmed"), "", ",%s" * len(_FIELD_COLUMNS))
+_JSON = _Words(("false", "true"), ("false", "true"), "null",
+               '"' + "".join(f',\n      "{f}": %s' for f in _FIELD_COLUMNS) + "\n    }")
 
 
-def _text_columns(table: CensusTable, words: _Words) -> dict[str, list[str]]:
-    """Every `CSV_FIELDS` column as text in code order, written as `words` says."""
-    size = 1 << (1 << table.arity)
-    width = hex_width(table.arity)
-    out = {"code": [words.code % (width, code) for code in range(size)]}
-    for field, attr in FLAG_FIELDS:
-        out[field] = [words.flag[value] for value in getattr(table, attr)]
-    for field in ("closure_plain", "closure_const"):
-        values = getattr(table, field)
-        out[field] = [words.missing] * size if values is None else list(map(str, values))
-    values = table.fast_track
-    out["fast_track"] = ([words.missing] * size if values is None
-                         else [words.fast_track[value] for value in values])
-    return out
+def _cell(words: _Words, attr: str, value: bool | int | None) -> str:
+    """The text of one value of census column `attr`, as `words` writes it.
+
+    The only place a census value becomes text: CSV, JSON and the diff.
+    """
+    if value is None:
+        return words.missing
+    if attr in ("closure_plain", "closure_const"):
+        return str(value)
+    return (words.fast_track if attr == "fast_track" else words.flag)[value]
+
+
+class _Tails(dict):
+    """Tail text keyed by a row's value tuple, written on first lookup."""
+
+    def __init__(self, words: _Words) -> None:
+        super().__init__()
+        self.words = words
+
+    def __missing__(self, values: tuple) -> str:
+        cells = map(_cell, itertools.repeat(self.words), _FIELD_COLUMNS.values(), values)
+        text = self[values] = self.words.tail % tuple(cells)
+        return text
+
+
+def _rows(table: CensusTable, words: _Words) -> map:
+    """Every row's code text followed by its tail, in code order.
+
+    The codes are the upper-case hex digits' `itertools.product`, which
+    is `%0*X` in code order because 2**(2**N) = 16**width.
+    """
+    codes = map("".join, itertools.product("0123456789ABCDEF", repeat=hex_width(table.arity)))
+    tails = map(_Tails(words).__getitem__, _values(table))
+    return map("".join, zip(codes, tails))
 
 
 def render_csv(table: CensusTable) -> str:
-    """Deterministic CSV text: fixed header, rows in code order."""
-    cells = _text_columns(table, _CSV)
-    lines = map(",".join, zip(*(cells[f] for f in CSV_FIELDS)))
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
+    """Deterministic CSV text: the header, then each code's text and its CSV tail."""
+    return CSV_HEADER + "\n" + "\n".join(_rows(table, _CSV)) + "\n"
 
 
 def render_json(table: CensusTable) -> str:
-    """Deterministic JSON text mirroring the CSV columns.
+    """Deterministic JSON text: each row opens its object, then the code's text and JSON tail.
 
     The text is what `json.dumps({"arity": ..., "rows": [...]}, indent=2)`
     writes for one object per row keyed by `CSV_FIELDS`.
     """
-    cells = _text_columns(table, _JSON)
-    rows = ",\n".join(_JSON_ROW % values for values in zip(*(cells[f] for f in CSV_FIELDS)))
-    return f'{{\n  "arity": {table.arity},\n  "rows": [\n{rows}\n  ]\n}}\n'
+    head = '    {\n      "code": "'
+    rows = (",\n" + head).join(_rows(table, _JSON))
+    return f'{{\n  "arity": {table.arity},\n  "rows": [\n{head}{rows}\n  ]\n}}\n'
 
 
 def emit_report(table: CensusTable, fmt: str = "csv", destination: str | Path | IO[str] | None = None) -> str:
@@ -287,10 +293,8 @@ class Divergence:
     computed: str
 
     def __str__(self) -> str:
-        return (
-            f"code {self.code:X}: {self.field} reference={self.reference!r} "
-            f"computed={self.computed!r}"
-        )
+        return (f"code {self.code:X}: {self.field} reference={self.reference!r} "
+                f"computed={self.computed!r}")
 
 
 def reference_path(name: str) -> Path:
@@ -310,16 +314,13 @@ def diff_against_reference(table: CensusTable, reference: str | Path | IO[str]) 
     census) raise ValueError.
     """
     if hasattr(reference, "read"):
-        handle: IO[str] = reference  # type: ignore[assignment]
-        reader = csv.DictReader(handle)
-        return _diff_rows(table, reader, "<stream>")
+        return _diff_rows(table, csv.DictReader(reference), "<stream>")
     path = Path(reference)
     try:
         text = path.read_text()
     except OSError as exc:
         raise OSError(f"cannot read reference {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    return _diff_rows(table, reader, str(path))
+    return _diff_rows(table, csv.DictReader(io.StringIO(text)), str(path))
 
 
 def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[Divergence]:
@@ -329,8 +330,9 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
     unknown = [f for f in fields if f not in CSV_FIELDS]
     if unknown:
         raise ValueError(f"reference {origin} has unknown columns {unknown}")
-    cells = _text_columns(table, _CSV)
-    size = len(cells["code"])
+    size = 1 << (1 << table.arity)
+    named = [(field, _FIELD_COLUMNS[field], getattr(table, _FIELD_COLUMNS[field]))
+             for field in fields if field != "code"]
     out: list[Divergence] = []
     for record in reader:
         raw_code = (record.get("code") or "").strip()
@@ -339,11 +341,9 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
         code = int(raw_code, 16)
         if not 0 <= code < size:
             raise ValueError(f"reference {origin}: code {raw_code} not in census")
-        for field in fields:
-            if field == "code":
-                continue
+        for field, attr, column in named:
             expected = (record.get(field) or "").strip()
-            computed = cells[field][code]
+            computed = _cell(_CSV, attr, None if column is None else column[code])
             if computed != expected:
                 out.append(Divergence(code=code, field=field,
                                       reference=expected, computed=computed))

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from sheffer.census import (
     CSV_FIELDS,
     CSV_HEADER,
     CensusRow,
+    Divergence,
     diff_against_reference,
     emit_report,
     enumerate_all,
@@ -244,6 +246,69 @@ def test_renderings_are_pinned(request, arity):
     digests = tuple(hashlib.sha256(render(table).encode()).hexdigest()
                     for render in (render_csv, render_json))
     assert digests == CENSUS_DIGESTS[arity]
+
+
+#: Each CSV field and the `CensusRow` attribute it shows, written out here
+#: so that the rendering oracle below uses no census helper.
+ORACLE_FIELDS = {
+    "code": "code", "t0": "preserves_zero", "t1": "preserves_one",
+    "selfdual": "self_dual", "monotone": "monotone", "affine": "affine",
+    "universal_alone": "universal_alone",
+    "universal_with_constants": "universal_with_constants",
+    "closure_plain": "closure_plain", "closure_const": "closure_const",
+    "fast_track": "fast_track",
+}
+
+
+def _oracle_rows(table):
+    """Each row of `table.rows` as a dict of plain values keyed by CSV field."""
+    width = max(1, 2 ** table.arity // 4)
+    for row in table.rows:
+        values = {field: getattr(row, attr) for field, attr in ORACLE_FIELDS.items()}
+        values["code"] = f"{row.code:0{width}X}"
+        yield values
+
+
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_renderings_match_independent_oracle(request, arity):
+    table = request.getfixturevalue(f"census{arity}")
+    rows = list(_oracle_rows(table))
+    assert render_json(table) == json.dumps({"arity": arity, "rows": rows}, indent=2) + "\n"
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(ORACLE_FIELDS)
+    writer.writerows([_csv_cell(f, v) for f, v in values.items()] for values in rows)
+    assert render_csv(table) == expected.getvalue()
+
+
+#: Flag columns no checked-in reference names, and each cell's flipped text.
+REFERENCE_FLAGS = ("t0", "selfdual", "affine", "fast_track")
+FLIPPED = {"0": "1", "1": "0", "confirmed": "inconclusive", "inconclusive": "confirmed"}
+
+
+@pytest.mark.parametrize("field", REFERENCE_FLAGS)
+def test_diff_reads_flag_columns_by_csv_name(census3, field):
+    cells = [[row["code"], *(_csv_cell(f, row[f]) for f in REFERENCE_FLAGS)]
+             for row in _oracle_rows(census3)]
+
+    def diff(cells):
+        lines = [",".join(("code", *REFERENCE_FLAGS)), *map(",".join, cells)]
+        return diff_against_reference(census3, io.StringIO("\n".join(lines) + "\n"))
+
+    assert diff(cells) == []
+    row = cells[0x2B]
+    column = REFERENCE_FLAGS.index(field) + 1
+    computed = row[column]
+    row[column] = FLIPPED[computed]
+    assert diff(cells) == [Divergence(0x2B, field, row[column], computed)]
+
+
+def test_diff_reads_an_omitted_closure_column_as_empty(census4):
+    assert census4.closure_plain is None
+    reference = "code,closure_plain\n0000,\n4685,\nFFFF,\n"
+    assert diff_against_reference(census4, io.StringIO(reference)) == []
+    divergences = diff_against_reference(census4, io.StringIO("code,closure_plain\n4685,3\n"))
+    assert divergences == [Divergence(0x4685, "closure_plain", "3", "")]
 
 
 @pytest.mark.parametrize("arity", [2, 3, 4])

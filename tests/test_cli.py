@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import sheffer
 import sheffer.closure as closure_mod
 from sheffer.cli import main
+from test_census import CENSUS_DIGESTS
 
 
 def run(capsys, *argv):
@@ -235,6 +237,19 @@ def test_census_json_is_the_census_document(capsys):
     code, out, err = run(capsys, "census", "--n", "2", "--json")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_census4_output_is_pinned(tmp_path, capsys, fmt):
+    digest = CENSUS_DIGESTS[4][("csv", "json").index(fmt)]
+    argv = ["census", "--n", "4"] + (["--format", fmt] if fmt == "json" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    path = tmp_path / f"census4.{fmt}"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_usage_errors_exit_one(capsys):
