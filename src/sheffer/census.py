@@ -310,8 +310,8 @@ def diff_against_reference(table: CensusTable, reference: str | Path | IO[str]) 
 
     The reference must have a `code` column (hex) plus any subset of the
     census columns; an empty list means exact reproduction.  Malformed
-    references (unknown columns, unparseable codes, codes outside the
-    census) raise ValueError.
+    references (unknown or repeated columns, unparseable codes, codes
+    outside the census) raise ValueError.
     """
     if hasattr(reference, "read"):
         return _diff_rows(table, csv.DictReader(reference), "<stream>")
@@ -330,6 +330,9 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
     unknown = [f for f in fields if f not in CSV_FIELDS]
     if unknown:
         raise ValueError(f"reference {origin} has unknown columns {unknown}")
+    repeated = sorted({f for f in fields if fields.count(f) > 1})
+    if repeated:
+        raise ValueError(f"reference {origin} repeats columns {repeated}")
     size = 1 << (1 << table.arity)
     named = [(field, _FIELD_COLUMNS[field], getattr(table, _FIELD_COLUMNS[field]))
              for field in fields if field != "code"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -198,15 +199,8 @@ def _unlimited_int_digits():
 
 
 def _count_result(r: CountReport) -> dict:
-    return {
-        "n": r.n,
-        "input_combinations": r.input_combinations,
-        "gate_count": r.gate_count,
-        "endpoint_free": r.endpoint_free,
-        "universal": r.universal,
-        "ratio": {"num": r.ratio.numerator, "den": r.ratio.denominator},
-        "ratio_decimal": r.ratio_decimal,
-    }
+    ratio = {"num": r.ratio.numerator, "den": r.ratio.denominator}
+    return {**dataclasses.asdict(r), "ratio": ratio}
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

@@ -96,7 +96,7 @@ class ClosureReport:
     """The exact set of functions one gate generates.
 
     `realized` is a bitset over all 2**(2**N) codes; `witnesses`, when
-    computed, maps each realized code to one minimal witness circuit
+    computed, maps each realized code to one depth-minimal witness
     (only the target's, for a targeted run).  `complete` is False when
     the run stopped before its fixed point, in which case `count` is a
     lower bound and `stopped_by` names what stopped it: "budget",
@@ -248,8 +248,7 @@ def generate_closure(
         raise ValueError(f"closure computation supports at most 4 inputs, got {n}")
     if budget is not None and not (_is_index(budget, math.inf) and budget >= 1):
         raise ValueError(f"budget must be a positive int, got {budget!r}")
-    m = 1 << n
-    full = 1 << m
+    full = 1 << (1 << n)
     if target is not None:
         if not witnesses or n == 4:
             raise ValueError("a target needs witness mode and at most 3 inputs")
@@ -261,8 +260,6 @@ def generate_closure(
                 "a 4-input closure needs an explicit working-set budget"
             )
         witnesses = False
-
-    rowmask = full - 1  # m output bits per function
 
     seeds = seed_codes(n, constants_enabled)
     realized = np.zeros(full, dtype=bool)
@@ -291,8 +288,7 @@ def generate_closure(
                 stopped_by = "sweep_cap"
                 break
             if _sweep_block(
-                gate.code, n, rowmask, srcs, realized, new_this_round, pool,
-                round_best, target,
+                gate.code, srcs, realized, new_this_round, pool, round_best, target
             ):
                 break  # count mode reached the full space
 
@@ -304,8 +300,7 @@ def generate_closure(
             for code in np.flatnonzero(realized & new_this_round).tolist():
                 pool.add(code, int(round_best[code]))
 
-        count = int(np.count_nonzero(realized))
-        if count == full or stopped_by:
+        if stopped_by or realized.all():
             break
 
         new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)
@@ -345,8 +340,6 @@ def generate_closure(
 
 def _sweep_block(
     gate_code: int,
-    n: int,
-    rowmask: int,
     srcs: list[np.ndarray],
     realized: np.ndarray,
     collect: np.ndarray,
@@ -354,37 +347,28 @@ def _sweep_block(
     round_best: np.ndarray | None,
     target: int | None,
 ) -> bool:
-    """Compose the gate over one block of tuples.
+    """Compose the gate over the block of tuples drawn from `srcs`.
 
+    The block is one `np.ix_` grid: one axis per argument, the lead axis
+    swept in chunks and the trailing axes shared, so the shared cache
+    evaluates the gate's subfunctions over them once for the whole block.
     In witness mode each chunk's derivations of the codes set in
-    `collect` get their `_WitnessPool.ranks` keys, and `round_best`
-    keeps the smallest key per code.  Once `target` is realized,
-    `collect`, the round's own snapshot, is narrowed in place to the
-    target alone, so the rest of the round ranks only the target's
-    derivations.
+    `collect` get their `_WitnessPool.ranks` keys, read back from the
+    grid's axes, and `round_best` keeps the smallest key per code.  Once
+    `target` is realized, `collect`, the round's own snapshot, is
+    narrowed in place to the target alone, so the rest of the round
+    ranks only the target's derivations.
     Count mode (`pool` None) returns True as soon as the full space is
     reached, and False otherwise.
     """
     import numpy as np
 
-    full = rowmask + 1
-    trailing = []
-    trailing_size = 1
-    for j in range(1, n):
-        shape = [1] * n
-        shape[j] = srcs[j].size
-        trailing.append(srcs[j].reshape(shape))
-        trailing_size *= srcs[j].size
-
-    # The lead axis is swept in chunks; the shared cache evaluates the
-    # gate's subfunctions over the trailing axes once for the whole block.
+    lead, *trailing = np.ix_(*srcs)
+    step = max(1, _CHUNK_ELEMS // math.prod(a.size for a in trailing))
     cache: dict = {}
-    lead = srcs[0]
-    step = max(1, _CHUNK_ELEMS // trailing_size)
-
     for lo in range(0, lead.size, step):
-        x = lead[lo : lo + step].reshape([-1] + [1] * (n - 1))
-        out = shannon(gate_code, n, [x, *trailing], rowmask, cache)
+        axes = [lead[lo : lo + step], *trailing]
+        out = shannon(gate_code, len(srcs), axes, realized.size - 1, cache)
         flat = out.ravel()
         realized[flat] = True
 
@@ -395,10 +379,10 @@ def _sweep_block(
         if pool is not None:
             sel = np.flatnonzero(collect[flat])
             if sel.size:
-                multi = np.unravel_index(sel, out.shape)
-                args = [x.ravel()[multi[0]], *(srcs[j][multi[j]] for j in range(1, n))]
+                idx = np.unravel_index(sel, out.shape)
+                args = [a.ravel()[i] for a, i in zip(axes, idx)]
                 np.minimum.at(round_best, flat[sel], pool.ranks(args))
-        elif int(np.count_nonzero(realized)) == full:
+        elif realized.all():
             return True
     return False
 
@@ -406,7 +390,7 @@ def _sweep_block(
 def synthesize(
     gate: TruthTable, target: TruthTable, constants_enabled: bool = False
 ) -> Circuit | None:
-    """Minimal stored witness turning `gate` into `target`, or None.
+    """Depth-minimal stored witness turning `gate` into `target`, or None.
 
     None means the target is not realizable from this generator (with
     the given constant setting).  The clone oracle decides that without

@@ -162,6 +162,10 @@ def test_diff_rejects_malformed(census2, census3):
         diff_against_reference(census2, io.StringIO("code,closure_plain\nZZ,3\n"))
     with pytest.raises(ValueError):
         diff_against_reference(census2, io.StringIO("code,closure_plain\n4685,3\n"))
+    # A repeated column would compare only its last cell, once per name.
+    for text in ("code,t0,t0\n0,0,1\n", "code,t0,t0\n0,1,0\n"):
+        with pytest.raises(ValueError, match=r"repeats columns \['t0'\]"):
+            diff_against_reference(census2, io.StringIO(text))
     # Only hex digits make a code: no prefix, sign or digit separator.
     for cell in ("0x1F", "+1F", "1_F", "-0"):
         with pytest.raises(ValueError, match="bad code"):

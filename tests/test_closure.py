@@ -29,6 +29,9 @@ WITNESS_DIGEST = "eccc3d6f823c91c31ea1020fe931537de5933f0c7e41a24f92d9bf90665494
 #: sha256 of the targeted witnesses of `test_targeted_witnesses_are_pinned`.
 TARGETED_DIGEST = "83643f7d188bd82866ff271f27f1cfe424eaa9581355e3254d1dcd5998c33eb5"
 
+#: sha256 of the count-mode reports of `test_count_mode_reports_are_pinned`.
+COUNT_DIGEST = "f5f0f08cb31f9ec1c99d77fb92e06ee925acf5f28e6266acaa8cd63dbf5a11b4"
+
 
 def gate(text, arity):
     return TruthTable.from_hex(text, arity)
@@ -144,6 +147,18 @@ def test_nand_to_xor_witness_minimal():
     assert 0x6 in _nand_codes_within(4)
 
 
+def test_stored_witness_is_depth_minimal_not_size_minimal():
+    # NOR -> XNOR stores a 5-application witness, yet 4 applications
+    # suffice: depth comes first in the rank rule, size only breaks ties.
+    nor, xnor = gate("1", 2), gate("9", 2)
+    stored = synthesize(nor, xnor)
+    smaller = Circuit(2, (("input", 0), ("input", 1), ("apply", (0, 1)),
+                          ("apply", (0, 2)), ("apply", (1, 2)), ("apply", (3, 4))), 5)
+    assert verify_circuit(stored, nor) == verify_circuit(smaller, nor) == xnor
+    assert (stored.size, smaller.size) == (5, 4)
+    assert _depth(stored) <= _depth(smaller)
+
+
 def test_synthesize_unrealizable():
     assert synthesize(gate("8", 2), gate("6", 2)) is None
 
@@ -256,9 +271,9 @@ def _spy_on_sweep_blocks(monkeypatch):
     sizes = []
     real = closure_mod._sweep_block
 
-    def spy(gate_code, n, rowmask, srcs, *rest):
+    def spy(gate_code, srcs, *rest):
         sizes.append(tuple(s.size for s in srcs))
-        return real(gate_code, n, rowmask, srcs, *rest)
+        return real(gate_code, srcs, *rest)
 
     monkeypatch.setattr(closure_mod, "_sweep_block", spy)
     return sizes
@@ -323,6 +338,25 @@ def test_targeted_witnesses_are_pinned():
                 record = [code, constants, target, circuit_to_json(circuit, tt)]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == TARGETED_DIGEST
+
+
+def test_count_mode_reports_are_pinned():
+    # The witness pins never read `rounds`, `stopped_by`, count mode's
+    # early exit at the full space, or a budgeted four-input realized set.
+    rng = random.Random(23)
+    runs = [(2, code, None) for code in range(16)]
+    runs += [(3, code, None) for code in _class_representatives_n3()]
+    runs += [(4, rng.randrange(1 << 16), 64) for _ in range(10)]
+    digest = hashlib.sha256()
+    for arity, code, budget in runs:
+        for constants in (False, True):
+            r = generate_closure(
+                TruthTable(arity, code), constants, witnesses=False, budget=budget
+            )
+            record = [arity, code, constants, r.count, r.rounds, r.complete,
+                      r.stopped_by, hex(r.realized)]
+            digest.update(json.dumps(record).encode())
+    assert digest.hexdigest() == COUNT_DIGEST
 
 
 def test_synthesize_makes_one_witness_mode_closure(monkeypatch):
