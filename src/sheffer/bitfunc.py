@@ -74,12 +74,14 @@ class TruthTable:
         an arity unambiguously elsewhere.
         """
         _check_arity(arity)
+        if not isinstance(text, str):
+            raise ValueError(f"invalid hex encoding {text!r}")
         width = hex_width(arity)
         if len(text) != width:
             raise ValueError(
                 f"expected exactly {width} hex digit(s) for arity {arity}, got {text!r}"
             )
-        if not isinstance(text, str) or text.strip(_HEX_DIGITS):
+        if text.strip(_HEX_DIGITS):
             raise ValueError(f"invalid hex encoding {text!r}")
         code = int(text, 16)
         if code >= 1 << (1 << arity):

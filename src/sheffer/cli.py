@@ -48,9 +48,10 @@ def _parse_select(text: str, arity: int) -> list[int]:
         token = token.strip()
         if not token:
             raise _UsageError("empty select variable")
-        if len(token) == 1 and token.upper().isalpha():
+        # ASCII only: str.isalpha and isdigit also accept other scripts.
+        if len(token) == 1 and token.isascii() and token.isalpha():
             var = ord(token.upper()) - ord("A")
-        elif token.isdigit():
+        elif token.isascii() and token.isdigit():
             var = int(token)
         else:
             raise _UsageError(f"bad select variable {token!r}")

@@ -17,10 +17,11 @@ derivation with the fewest distinct gate applications in its DAG;
 remaining ties prefer argument tuples whose codes are largest first,
 which keeps projection arguments in natural variable order and lets
 sibling derivations share subcircuits.  `_WitnessPool.ranks` packs this
-rule into one int64 rank key per derivation, and each round keeps the
-smallest key per code.  Rounds stop at a fixed point, or as soon as the
-full function space is reached (the set is then trivially closed, so
-the report is identical to running to quiescence).
+rule into one int64 rank key per derivation.  A code's stored witness
+is its smallest key, which names the witness's arguments; circuits are
+built from the keys only when extracted.  Rounds stop at a fixed point,
+or as soon as the full function space is reached (the set is then
+trivially closed, so the report is identical to running to quiescence).
 
 Synthesis asks for one target's witness, so a targeted run stops after
 the round that first realizes the target.  Every round is swept once;
@@ -28,7 +29,8 @@ from the first chunk of that round that yields the target, the sweep
 ranks only the target's derivations.  The stored witness is unchanged:
 rounds before it run in full, every chunk of the target's round still
 collects the target's candidates, and a code's rank reads only the DAG
-masks of witnesses from earlier rounds.  `synthesize` first asks the
+masks of witnesses from earlier rounds.  Other codes of that round keep
+partial keys, which are never extracted.  `synthesize` first asks the
 clone oracle in `sheffer.clones` whether the target is realizable at
 all, and returns None for an unrealizable target without running a
 closure.  The enumerator stays the independent check on that oracle.
@@ -125,42 +127,42 @@ class ClosureReport:
             code = bits.find("1", code + 1)
 
 
+def _leaves(arity: int, constants_enabled: bool) -> dict[int, Node]:
+    """Each seed code's leaf node, in circuit leaf order: inputs, then constants."""
+    leaves = {variable_pattern(arity, arity - 1 - k): ("input", k) for k in range(arity)}
+    if constants_enabled:
+        leaves[0] = ("const", 0)
+        leaves[(1 << (1 << arity)) - 1] = ("const", 1)
+    return leaves
+
+
 def seed_codes(arity: int, constants_enabled: bool) -> list[int]:
     """Initial working set: the projections, plus constants when enabled."""
-    seeds = {variable_pattern(arity, arity - 1 - k) for k in range(arity)}
-    if constants_enabled:
-        seeds.add(0)
-        seeds.add((1 << (1 << arity)) - 1)
-    return sorted(seeds)
+    return sorted(_leaves(arity, constants_enabled))
 
 
 class _WitnessPool:
-    """Interned witness nodes plus per-code DAG bitmasks for rank keys.
+    """Each code's witness, stored as its smallest rank key.
 
     A rank key packs the module's witness rank rule into one int64: the
     DAG size, then one byte per argument, in argument order, holding
     0xFF minus its code.  Witness mode runs at most three inputs, so
     every code fits in one byte.  The smallest key is the best
-    derivation, and equal keys mean equal arguments.
+    derivation, and equal keys mean equal arguments, so `keys[code]`
+    names the arguments of `code`'s witness and circuits are built from
+    the keys only when extracted.  A seed argument is a leaf; every
+    other code is one application node, bit `code` of the DAG masks.
     """
 
     def __init__(self, arity: int, constants_enabled: bool, full: int):
         import numpy as np
 
         self.arity = arity
-        self.nodes: list[Node] = [("input", k) for k in range(arity)]
-        self.arg_root = np.full(full, -1, dtype=np.int64)
-        for k in range(arity):
-            self.arg_root[variable_pattern(arity, arity - 1 - k)] = k
-        if constants_enabled:
-            self.nodes.append(("const", 0))
-            self.arg_root[0] = arity
-            self.nodes.append(("const", 1))
-            self.arg_root[full - 1] = arity + 1
-        lanes = (full + 63) // 64
-        self.masks = np.zeros((full, lanes), dtype=np.uint64)
-        self.wit_root: dict[int, int] = {}
-        self._n_applies = 0
+        self.leaves = _leaves(arity, constants_enabled)
+        self.keys = np.full(full, np.iinfo(np.int64).max)
+        self.masks = np.zeros((full, (full + 63) // 64), dtype=np.uint64)
+        self.found = np.zeros(full, dtype=np.int64)  # discovery round
+        self._shifts = 8 * np.arange(arity - 1, -1, -1)
 
     def ranks(self, args: list[np.ndarray]) -> np.ndarray:
         """Rank key of each derivation whose argument codes are `args`."""
@@ -174,46 +176,47 @@ class _WitnessPool:
             key = (key << 8) | (0xFF - a.astype(np.int64))
         return key
 
-    def add(self, code: int, key: int) -> None:
-        """Store the derivation that rank `key` encodes as `code`'s witness."""
+    def _args(self, codes: np.ndarray) -> np.ndarray:
+        """Argument codes of each code's witness, one row per code."""
+        return 0xFF - ((self.keys[codes, None] >> self._shifts) & 0xFF)
+
+    def settle(self, codes: np.ndarray, round_no: int) -> None:
+        """Store the DAG masks of non-seed `codes`, first realized in `round_no`.
+
+        Their arguments all come from earlier rounds, whose masks are final.
+        """
         import numpy as np
 
-        arg_codes = [0xFF - ((key >> (8 * j)) & 0xFF) for j in reversed(range(self.arity))]
-        children = tuple(int(self.arg_root[a]) for a in arg_codes)
-        self.nodes.append(("apply", children))
-        node_id = len(self.nodes) - 1
-        bit = self._n_applies
-        self._n_applies += 1
-        mask = np.bitwise_or.reduce(self.masks[arg_codes], axis=0)
-        mask[bit // 64] |= np.uint64(1 << (bit % 64))
-        self.wit_root[code] = node_id
-        # Argument references keep the cheapest form: seed codes stay leaves.
-        if self.arg_root[code] < 0:
-            self.arg_root[code] = node_id
-            self.masks[code] = mask
+        self.found[codes] = round_no
+        args = self._args(codes)
+        self.masks[codes] = np.bitwise_or.reduce(self.masks[args], axis=1)
+        self.masks[codes, codes // 64] |= np.uint64(1) << (codes % 64).astype(np.uint64)
 
-    def extract(self, code: int) -> Circuit:
-        root = self.wit_root[code]
-        reachable = set()
-        stack = [root]
-        while stack:
-            nid = stack.pop()
-            if nid in reachable:
-                continue
-            reachable.add(nid)
-            node = self.nodes[nid]
-            if node[0] == "apply":
-                stack.extend(node[1])
-        order = sorted(reachable)  # pool ids ascend children-first
-        local = {nid: i for i, nid in enumerate(order)}
-        out: list[Node] = []
-        for nid in order:
-            node = self.nodes[nid]
-            if node[0] == "apply":
-                out.append(("apply", tuple(local[c] for c in node[1])))
-            else:
-                out.append(node)
-        return Circuit(self.arity, tuple(out), local[root])
+    def extract(self, codes: list[int]) -> dict[int, Circuit]:
+        """Build each of `codes`' witness circuits from the stored keys."""
+        import numpy as np
+
+        args = self._args(np.arange(self.keys.size)).tolist()
+        found = self.found.tolist()
+        out = {}
+        for root in codes:
+            reached: set[int] = set()
+            stack = list(args[root])
+            while stack:
+                code = stack.pop()
+                if code not in reached:
+                    reached.add(code)
+                    if code not in self.leaves:
+                        stack.extend(args[code])
+            leaves = [c for c in self.leaves if c in reached]
+            # Arguments come from earlier rounds, so this order lists children first.
+            applies = sorted(reached.difference(leaves), key=lambda c: (found[c], c))
+            local = {c: i for i, c in enumerate(leaves + applies)}
+            nodes = [self.leaves[c] for c in leaves]
+            nodes += [("apply", tuple(local[a] for a in args[c]))
+                      for c in [*applies, root]]
+            out[root] = Circuit(self.arity, tuple(nodes), len(nodes) - 1)
+        return out
 
 
 def generate_closure(
@@ -277,7 +280,6 @@ def generate_closure(
         rounds += 1
         current = np.sort(np.concatenate([old, frontier]))
         new_this_round = ~realized  # snapshot: not yet realized at round start
-        round_best = None if pool is None else np.full(full, np.iinfo(np.int64).max)
         for i in range(n):
             # Tuples partitioned by the first frontier position: earlier
             # arguments old, that one frontier, the rest unrestricted.
@@ -287,23 +289,17 @@ def generate_closure(
             if math.prod(s.size for s in srcs[1:]) > _MAX_TRAILING:
                 stopped_by = "sweep_cap"
                 break
-            if _sweep_block(
-                gate.code, srcs, realized, new_this_round, pool, round_best, target
-            ):
+            if _sweep_block(gate.code, srcs, realized, new_this_round, pool, target):
                 break  # count mode reached the full space
 
         if target is not None and realized[target]:
-            pool.add(target, int(round_best[target]))
             stopped_by = "target"
-            break
-        if pool is not None:
-            for code in np.flatnonzero(realized & new_this_round).tolist():
-                pool.add(code, int(round_best[code]))
-
         if stopped_by or realized.all():
             break
 
         new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)
+        if pool is not None:
+            pool.settle(new_members, rounds)
         if budget is not None:
             room = budget - int(np.count_nonzero(in_set))
             if new_members.size > room:
@@ -325,7 +321,7 @@ def generate_closure(
             codes = np.flatnonzero(realized).tolist()
         else:
             codes = [target] if stopped_by == "target" else []
-        witness_map = {code: pool.extract(code) for code in codes}
+        witness_map = pool.extract(codes)
     return ClosureReport(
         generator=gate,
         constants_enabled=constants_enabled,
@@ -344,7 +340,6 @@ def _sweep_block(
     realized: np.ndarray,
     collect: np.ndarray,
     pool: _WitnessPool | None,
-    round_best: np.ndarray | None,
     target: int | None,
 ) -> bool:
     """Compose the gate over the block of tuples drawn from `srcs`.
@@ -354,7 +349,7 @@ def _sweep_block(
     evaluates the gate's subfunctions over them once for the whole block.
     In witness mode each chunk's derivations of the codes set in
     `collect` get their `_WitnessPool.ranks` keys, read back from the
-    grid's axes, and `round_best` keeps the smallest key per code.  Once
+    grid's axes, and `pool.keys` keeps the smallest key per code.  Once
     `target` is realized, `collect`, the round's own snapshot, is
     narrowed in place to the target alone, so the rest of the round
     ranks only the target's derivations.
@@ -381,7 +376,7 @@ def _sweep_block(
             if sel.size:
                 idx = np.unravel_index(sel, out.shape)
                 args = [a.ravel()[i] for a, i in zip(axes, idx)]
-                np.minimum.at(round_best, flat[sel], pool.ranks(args))
+                np.minimum.at(pool.keys, flat[sel], pool.ranks(args))
         elif realized.all():
             return True
     return False

@@ -69,6 +69,9 @@ def test_decode_rejects_bad_input():
         TruthTable.from_hex("77", 0)
     with pytest.raises(ValueError):
         TruthTable.from_hex("7" * 32, 7)
+    for text in (7, None, 7.0, b"7"):  # checked as a str before its length
+        with pytest.raises(ValueError):
+            TruthTable.from_hex(text, 2)
 
 
 def test_bool_arity_rejected():

@@ -261,6 +261,9 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1  # digit count inconsistent with the stated arity
     code, _, err = run(capsys, "mux", "--gate", "85", "--select", "Q")
     assert code == 1
+    for select in ("\u0663", "\u00b2", "\u00df"):  # Arabic-Indic 3, superscript 2, sharp s
+        code, _, err = run(capsys, "mux", "--gate", "4685", "--select", select)
+        assert code == 1 and "bad select variable" in err
     code, _, err = run(capsys, "census", "--n", "9")
     assert code == 1
 

@@ -29,6 +29,9 @@ WITNESS_DIGEST = "eccc3d6f823c91c31ea1020fe931537de5933f0c7e41a24f92d9bf90665494
 #: sha256 of the targeted witnesses of `test_targeted_witnesses_are_pinned`.
 TARGETED_DIGEST = "83643f7d188bd82866ff271f27f1cfe424eaa9581355e3254d1dcd5998c33eb5"
 
+#: sha256 of the witness runs of `test_early_stopped_witness_maps_are_pinned`.
+EARLY_STOP_DIGEST = "3dd6b731eafd91ef8cd840a3e7934c7a85b15c3172bfdd694c3e8e44d5971119"
+
 #: sha256 of the count-mode reports of `test_count_mode_reports_are_pinned`.
 COUNT_DIGEST = "f5f0f08cb31f9ec1c99d77fb92e06ee925acf5f28e6266acaa8cd63dbf5a11b4"
 
@@ -308,6 +311,31 @@ def test_witness_maps_are_pinned(reports2, witness_reports):
                 record = [*key, code, circuit_to_json(report.witnesses[code], report.generator)]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def test_early_stopped_witness_maps_are_pinned(monkeypatch, witness_reports):
+    # The other pins cover complete runs and targeted synthesis; this one
+    # covers the witnesses a run keeps when a budget or the sweep cap stops
+    # it, some in the middle of a round, and every 1-input gate.
+    runs = [(1, code, None, None) for code in range(4)]
+    for code in sorted({code for code, _ in witness_reports}):
+        runs += [(3, code, budget, None) for budget in (12, 40)]
+        runs += [(3, code, None, cap) for cap in (100, 1000)]
+    digest = hashlib.sha256()
+    stops = set()
+    uncapped = closure_mod._MAX_TRAILING
+    for arity, code, budget, cap in runs:
+        monkeypatch.setattr(closure_mod, "_MAX_TRAILING", cap or uncapped)
+        for constants in (False, True):
+            r = generate_closure(TruthTable(arity, code), constants, budget=budget)
+            stops.add(r.stopped_by)
+            witnesses = [[c, circuit_to_json(r.witnesses[c], r.generator)]
+                         for c in sorted(r.witnesses)]
+            record = [arity, code, constants, budget, cap, r.count, r.rounds,
+                      r.stopped_by, witnesses]
+            digest.update(json.dumps(record).encode())
+    assert stops == {None, "budget", "sweep_cap"}
+    assert digest.hexdigest() == EARLY_STOP_DIGEST
 
 
 def _class_representatives_n3():
