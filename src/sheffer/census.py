@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import IO, NamedTuple
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 from .bitfunc import _HEX_DIGITS, TruthTable, hex_width
 from .classify import FLAG_FIELDS, Classification
@@ -40,6 +40,9 @@ from .classify import FLAG_FIELDS, Classification
 from .classify import classify, hex_fast_track  # noqa: F401
 from .clones import closure_counts, membership
 from .closure import generate_closure  # noqa: F401
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 __all__ = [
     "CensusRow", "CensusTable", "CountReport", "Divergence", "CSV_FIELDS",
@@ -297,25 +300,27 @@ class Divergence:
                 f"computed={self.computed!r}")
 
 
-def reference_path(name: str) -> Path:
-    """Path of a checked-in reference data file."""
+def reference_path(name: str) -> Traversable:
+    """A checked-in reference data file: a `Path` unless the package is zipped."""
     if name not in REFERENCE_FILES:
         raise ValueError(f"unknown reference file {name!r}")
-    with resources.as_file(resources.files("sheffer") / "data" / name) as path:
-        return Path(path)
+    return resources.files("sheffer") / "data" / name
 
 
-def diff_against_reference(table: CensusTable, reference: str | Path | IO[str]) -> list[Divergence]:
+def diff_against_reference(table: CensusTable,
+                           reference: str | Path | Traversable | IO[str]) -> list[Divergence]:
     """Compare a census against a reference CSV, cell by cell.
 
-    The reference must have a `code` column (hex) plus any subset of the
-    census columns; an empty list means exact reproduction.  Malformed
-    references (unknown or repeated columns, unparseable codes, codes
-    outside the census) raise ValueError.
+    The reference is a path, anything with `read_text` such as a
+    `reference_path` result, or an open text stream.  It must have a
+    `code` column (hex) plus any subset of the census columns; an empty
+    list means exact reproduction.  Malformed references (unknown or
+    repeated columns, rows longer than the header, unparseable codes,
+    codes outside the census) raise ValueError.
     """
     if hasattr(reference, "read"):
         return _diff_rows(table, csv.DictReader(reference), "<stream>")
-    path = Path(reference)
+    path = reference if hasattr(reference, "read_text") else Path(reference)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -339,6 +344,8 @@ def _diff_rows(table: CensusTable, reader: csv.DictReader, origin: str) -> list[
     out: list[Divergence] = []
     for record in reader:
         raw_code = (record.get("code") or "").strip()
+        if None in record:  # DictReader files cells beyond the header under None
+            raise ValueError(f"reference {origin}: row {raw_code!r} has more cells than columns")
         if not raw_code or raw_code.strip(_HEX_DIGITS):
             raise ValueError(f"reference {origin}: bad code {raw_code!r}")
         code = int(raw_code, 16)

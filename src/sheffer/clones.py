@@ -35,14 +35,14 @@ T0, T1, S, M and L those are:
 For N-ary functions P_N already equals P_k for every larger k: rows
 with no common 1-input include, for each input, a row where it is 0,
 and those N rows already have none.  So k runs over 2..N; P_1 and Q_1
-are T0 and T1.  A non-constant gate
-realizes every projection (G(x, ..., x) is x, its negation, or a
-constant that one row of G turns back into x), so its realized set is
-the intersection of the columns of every listed clone containing it.
-With the constants 0 and 1 seeded, only the clones containing both take
-part.  A constant gate realizes only itself.  `sheffer.closure`
-enumerates the same sets circuit by circuit; the tests check each
-against the other.
+are T0 and T1.  A code's signature is the set of listed clones that
+contain it.  A non-constant gate realizes every projection (G(x, ..., x)
+is x, its negation, or a constant that one row of G turns back into x),
+so the clone a set of gates generates has as its signature the AND of
+the members' signatures, and it realizes every code whose signature
+includes that one.  With constants the members are the gate, 0 and 1.
+A constant gate realizes only itself.  `sheffer.closure` enumerates the
+same sets circuit by circuit; the tests check each against the other.
 """
 from __future__ import annotations
 
@@ -189,7 +189,6 @@ def clone_columns(n: int) -> dict:
     Returns boolean numpy arrays of length 2**(2**n) indexed by code,
     keyed by clone name: T0, T1, S, M, L, Λ, V, U, then P2..Pn and Q2..Qn.
     """
-    _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
     classes = membership(n)
@@ -203,31 +202,36 @@ def clone_columns(n: int) -> dict:
     return columns
 
 
+@cache
 def _signatures(n: int):
-    """Per code, the bitmask of the clones containing it; and the mask of those with 0 and 1."""
+    """Per code, a read-only bitmask whose bit i is the i-th `clone_columns` entry.
+
+    Callers check `n` first, so that only a valid arity reaches the cache.
+    """
     import numpy as np
 
-    columns = clone_columns(n)
     signature = np.zeros(1 << (1 << n), dtype=np.uint32)
-    for bit, column in enumerate(columns.values()):
+    for bit, column in enumerate(clone_columns(n).values()):
         signature |= column.astype(np.uint32) << bit
-    return signature, int(signature[0] & signature[-1])
+    signature.flags.writeable = False
+    return signature
 
 
 def closure_set(gate: TruthTable, constants: bool = False) -> ClosureSet:
     """Every function `gate` realizes, without or with the constants, exactly.
 
-    The arity is 1..4.  A non-constant gate realizes the codes that lie
-    in every listed clone containing it (every such clone containing 0
-    and 1, with constants); a constant gate realizes only itself.
+    The arity is 1..4.  The clone generated by {gate}, or {gate, 0, 1} with
+    constants, holds every code whose signature includes the AND of its
+    members' signatures.  A constant gate realizes only itself.
     """
     _check_arity(gate.arity, MAX_COLUMN_ARITY)
     import numpy as np
 
     if gate.code in (0, (1 << gate.n_rows) - 1):
         return ClosureSet(1 << gate.code, 1)
-    signature, both = _signatures(gate.arity)
-    wanted = int(signature[gate.code]) & (both if constants else -1)
+    signature = _signatures(gate.arity)
+    members = [gate.code, 0, -1] if constants else [gate.code]
+    wanted = np.bitwise_and.reduce(signature[members])
     realized = (signature & wanted) == wanted
     bits = int.from_bytes(np.packbits(realized, bitorder="little").tobytes(), "little")
     return ClosureSet(bits, int(np.count_nonzero(realized)))
@@ -240,39 +244,25 @@ def closure_counts(n: int) -> tuple:
     `closure_set` for that code.  Codes sharing a signature share their
     counts, so one popcount serves each distinct signature.
     """
+    _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
-    signature, both = _signatures(n)
+    signature = _signatures(n)
     distinct, index = np.unique(signature, return_inverse=True)
 
     def counts(wanted):
         return np.array([np.count_nonzero((signature & w) == w) for w in wanted.tolist()])
 
-    plain, const = counts(distinct)[index], counts(distinct & both)[index]
+    plain, const = counts(distinct)[index], counts(distinct & signature[0] & signature[-1])[index]
     plain[[0, -1]] = const[[0, -1]] = 1  # a constant gate realizes only itself
     return plain, const
 
 
 def realizes(gate: TruthTable, target: TruthTable, constants: bool = False) -> bool:
-    """True iff `gate` realizes `target` (same arity, 1..4), decided per code.
+    """True iff `gate` realizes `target` (same arity, 1..4): one `closure_set` bit.
 
-    The scalar form of a `closure_set` bit: every clone that contains the
-    gate (and both constants, with constants) must contain the target.
+    That bit is set when the target's signature includes the AND of the members' signatures.
     """
-    _check_arity(gate.arity, MAX_COLUMN_ARITY)
     if gate.arity != target.arity:
         raise ValueError(f"gate arity {gate.arity} differs from target arity {target.arity}")
-    full = (1 << gate.n_rows) - 1
-    if gate.code in (0, full):
-        return target.code == gate.code
-    wanted = set(clones_of(gate))
-    if constants:
-        wanted &= _clones_with_constants(gate.arity)
-    return wanted <= set(clones_of(target))
-
-
-@cache
-def _clones_with_constants(n: int) -> frozenset[str]:
-    """The listed clones at arity `n` that contain both constants."""
-    full = (1 << (1 << n)) - 1
-    return frozenset(clones_of(TruthTable(n, 0))) & frozenset(clones_of(TruthTable(n, full)))
+    return bool(closure_set(gate, constants).realized >> target.code & 1)

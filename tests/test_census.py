@@ -2,8 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
+import zipfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,7 @@ from sheffer.bitfunc import TruthTable
 from sheffer.census import (
     CSV_FIELDS,
     CSV_HEADER,
+    REFERENCE_FILES,
     CensusRow,
     Divergence,
     diff_against_reference,
@@ -166,6 +172,9 @@ def test_diff_rejects_malformed(census2, census3):
     for text in ("code,t0,t0\n0,0,1\n", "code,t0,t0\n0,1,0\n"):
         with pytest.raises(ValueError, match=r"repeats columns \['t0'\]"):
             diff_against_reference(census2, io.StringIO(text))
+    # DictReader would file a row's extra cells under None, unchecked.
+    with pytest.raises(ValueError, match="row '0' has more cells than columns"):
+        diff_against_reference(census2, io.StringIO("code,t0\n0,1,1\n"))
     # Only hex digits make a code: no prefix, sign or digit separator.
     for cell in ("0x1F", "+1F", "1_F", "-0"):
         with pytest.raises(ValueError, match="bad code"):
@@ -195,6 +204,28 @@ def test_reference_partition():
     assert len(alone) == 56 and len(extra) == 169 and len(non) == 31
     assert alone | extra | non == set(range(256))
     assert not (alone & extra) and not (alone & non) and not (extra & non)
+
+
+def test_reference_files_diff_clean_from_a_zipped_package(tmp_path):
+    # Imported from a zip, the data files are zip members, not files on disk.
+    package = Path(census_mod.__file__).parent
+    archive = tmp_path / "sheffer.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in package.rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                zf.write(path, Path("sheffer", path.relative_to(package)))
+    code = ("import sheffer\n"
+            "from sheffer.census import REFERENCE_FILES, diff_against_reference, enumerate_all, "
+            "reference_path\n"
+            f"assert sheffer.__file__.startswith({str(archive)!r}), sheffer.__file__\n"
+            "tables = {n: enumerate_all(n) for n in (2, 3)}\n"
+            "for name in REFERENCE_FILES:  # each file is named n<arity>_...\n"
+            "    assert diff_against_reference(tables[int(name[1])], reference_path(name)) == [], name\n"
+            "print(len(REFERENCE_FILES))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(archive)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(len(REFERENCE_FILES))]
 
 
 def test_reference_path_unknown():

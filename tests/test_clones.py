@@ -136,8 +136,69 @@ def test_synthesize_none_iff_outside_closure_set():
 @pytest.mark.parametrize("fn", [clone_columns, closure_counts])
 @pytest.mark.parametrize("n", [0, 5, True, 2.0])
 def test_oracle_rejects_unsupported_arity(fn, n):
+    # Arities 1 and 2 are cached first: the check must run before the cache is read.
+    closure_counts(1), closure_counts(2)
     with pytest.raises(ValueError):
         fn(n)
+
+
+def test_closure_counts_at_four_are_full_exactly_for_universal_gates():
+    plain, const = closure_counts(4)
+    columns = membership(4)
+    assert ((plain == 1 << 16) == columns["universal_alone"]).all()
+    assert ((const == 1 << 16) == columns["universal_with_constants"]).all()
+    assert (columns["universal_alone"].sum(), columns["universal_with_constants"].sum()) == (
+        16256, WITH_CONSTANTS[4])
+
+
+def test_writing_into_clone_columns_changes_no_oracle_answer():
+    gates = [TruthTable(3, code) for code in (0x00, 0x17, 0x69, 0x80, 0xE8)]
+
+    def answers():
+        plain, const = closure_counts(3)
+        return (plain.tolist(), const.tolist(),
+                [realizes(g, TruthTable(3, t), c)
+                 for g in gates for t in range(256) for c in (False, True)])
+
+    before = answers()
+    for column in clone_columns(3).values():
+        column[:] = ~column
+    assert answers() == before
+
+
+def _name_set_rule(n, codes):
+    """`realizes` as it was decided from clone names, for gate/target codes of arity `n`."""
+    full = (1 << (1 << n)) - 1
+    names = {code: set(clones_of(TruthTable(n, code))) for code in {0, full, *codes}}
+    with_constants = names[0] & names[full]
+
+    def rule(gate, target, constants):
+        if gate in (0, full):  # a constant gate realizes only itself
+            return target == gate
+        return (names[gate] & with_constants if constants else names[gate]) <= names[target]
+
+    return rule
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_realizes_equals_the_name_set_rule(n):
+    codes = range(1 << (1 << n))
+    rule = _name_set_rule(n, codes)
+    for gate in codes:
+        for constants in (False, True):
+            assert [realizes(TruthTable(n, gate), TruthTable(n, t), constants) for t in codes] == [
+                rule(gate, t, constants) for t in codes], (gate, constants)
+
+
+def test_realizes_equals_the_name_set_rule_on_seeded_pairs_at_four():
+    rng = random.Random(23)
+    pairs = [(rng.randrange(1 << 16), rng.randrange(1 << 16)) for _ in range(500)]
+    pairs += [(0x0000, 0x0000), (0xFFFF, 0x0000), (0x6996, 0x0000), (0x8000, 0xFFFF)]
+    rule = _name_set_rule(4, {code for pair in pairs for code in pair})
+    for gate, target in pairs:
+        for constants in (False, True):
+            assert realizes(TruthTable(4, gate), TruthTable(4, target), constants) == rule(
+                gate, target, constants), (gate, target, constants)
 
 
 def test_per_gate_oracle_rejects_unsupported_gates():
