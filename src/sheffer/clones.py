@@ -32,6 +32,10 @@ T0, T1, S, M and L those are:
   all of them.
 
 "Or fewer" matters: NOR has a single 1-row, which has no 1-coordinate.
+Tuples may repeat rows (AND is idempotent), so f is in P_k exactly when
+no k-tuple of its one-rows lacks a common 1-input.  If up(m) counts the
+one-rows that are 1 on every input in m, inclusion-exclusion counts those
+tuples as sum over m of (-1)**|m| * up(m)**k.  f is in Q_k when its dual is in P_k.
 For N-ary functions P_N already equals P_k for every larger k: rows
 with no common 1-input include, for each input, a row where it is 0,
 and those N rows already have none.  So k runs over 2..N; P_1 and Q_1
@@ -126,54 +130,35 @@ def _small_clones(n: int) -> tuple[tuple[str, frozenset[int]], ...]:
     )
 
 
-@cache
-def _separating_masks(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per k in 1..n, the (mask, value) pairs that exclude a code from P_k or Q_k.
+def _separating(codes, n: int):
+    """{"Pk"/"Qk": membership} for k in 2..n; `codes` is an int or a numpy array.
 
-    A mask covers a minimal set of k rows with no input that is 1 in all
-    of them; a code is outside P_k when its bits under some such mask of
-    at most k rows are all 1.  Complementing every row gives the sets with
-    no common 0-input, and a code is outside Q_k when its bits under one
-    of those are all 0.  Entry k-1 holds the pairs of size exactly k.
+    An array's counts wrap modulo its dtype and stay exact while (2**n)**n
+    fits: uint32 does for n <= 4, but uint16 would wrap 16**4 to 0.
     """
     top = (1 << n) - 1
-
-    def meet(rows: tuple[int, ...]) -> int:
-        return reduce(and_, rows, top)
-
-    out = []
-    for k in range(1, n + 1):
-        pairs = []
-        for rows in combinations(range(1 << n), k):
-            if meet(rows) or not all(meet(rows[:i] + rows[i + 1:]) for i in range(k)):
-                continue
-            ones = sum(1 << r for r in rows)
-            pairs.append((ones, ones))
-            pairs.append((sum(1 << (top - r) for r in rows), 0))
-        out.append(tuple(pairs))
-    return tuple(out)
-
-
-def _separating(codes, n: int):
-    """{"Pk"/"Qk": membership} for k in 2..n; `codes` is an int or a numpy array."""
-    in_p = in_q = True
-    p, q = {}, {}
-    for k, pairs in enumerate(_separating_masks(n), 1):
-        for mask, value in pairs:
-            if value:
-                in_p = in_p & ((codes & mask) != value)
-            else:
-                in_q = in_q & ((codes & mask) != value)
-        if k >= 2:
-            p[f"P{k}"], q[f"Q{k}"] = in_p, in_q
-    return {**p, **q}
+    inside = {}
+    for name, up in (("P", [codes >> r & 1 for r in range(top + 1)]),
+                     ("Q", [~codes >> (top - r) & 1 for r in range(top + 1)])):
+        for bit in (1 << i for i in range(n)):  # superset sums: up[m] becomes up(m)
+            for m in range(top + 1):
+                if not m & bit:
+                    up[m] += up[m | bit]
+        counts = dict.fromkeys(range(2, n + 1), 0)  # k: k-tuples with no common 1-input
+        for m, u in enumerate(up):
+            power = u
+            for k in counts:
+                power = power * u
+                counts[k] = counts[k] - power if m.bit_count() & 1 else counts[k] + power
+        inside.update((f"{name}{k}", count == 0) for k, count in counts.items())
+    return inside
 
 
 def clones_of(gate: TruthTable) -> tuple[str, ...]:
     """The names of the listed clones that contain `gate`, in column order.
 
     Scalar counterpart of `clone_columns`: the five Post classes come
-    from `classify`, the rest from the same member lists and row masks.
+    from `classify`, the rest from the same member lists and P_k/Q_k count.
     """
     _check_arity(gate.arity, MAX_COLUMN_ARITY)
     flags = classify(gate)

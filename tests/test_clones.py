@@ -1,7 +1,16 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
+from pathlib import Path
 
 import pytest
 
+import sheffer
 from sheffer.bitfunc import TruthTable
 from sheffer.classify import classify
 from sheffer.clones import (
@@ -74,6 +83,57 @@ def test_nor_is_outside_p2():
     # NOR's single 1-row has no 1-coordinate: "any two or fewer" rows matter.
     assert "P2" not in clones_of(TruthTable(2, 0x1))
     assert "P2" in clones_of(TruthTable(2, 0x8))  # AND
+
+
+def test_clone_columns_are_pinned():
+    # Every four-input code, which the enumerator comparisons never reach;
+    # the digest was taken from the row-subset mask construction.
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for name, column in clone_columns(n).items():
+            digest.update(name.encode())
+            digest.update(column.tobytes())
+    assert digest.hexdigest() == (
+        "b1e9c9b047391185c2022ab3476bc1e409aca8df9f5cc83a5a1e0cb769eeaea8")
+
+
+def _separating_by_definition(gate):
+    """P_k and Q_k of `gate`, from every nonempty set of at most k one-rows or zero-rows."""
+    top = gate.n_rows - 1
+    ones = [r for r in range(top + 1) if gate.code >> r & 1]
+    zeros = [r for r in range(top + 1) if not gate.code >> r & 1]
+
+    def sets(rows, k):
+        return (s for j in range(1, k + 1) for s in combinations(rows, j))
+
+    ks = range(2, gate.arity + 1)
+    return (*(f"P{k}" for k in ks if all(reduce(and_, s) for s in sets(ones, k))),
+            *(f"Q{k}" for k in ks if all(reduce(or_, s) != top for s in sets(zeros, k))))
+
+
+def test_separating_clones_match_their_definition():
+    rng = random.Random(24)
+    gates = [TruthTable(n, code) for n in (2, 3) for code in range(1 << (1 << n))]
+    gates += [TruthTable(4, code) for code in (0x0000, 0xFFFF, 0x0001, 0x8000, 0x7FFF,
+                                               0xFFFE, 0x6996, 0x8001)]
+    gates += [TruthTable(4, rng.randrange(1 << 16)) for _ in range(200)]
+    for gate in gates:
+        assert tuple(name for name in clones_of(gate) if name[0] in "PQ") == (
+            _separating_by_definition(gate)), gate
+
+
+def test_clones_of_needs_no_numpy():
+    code = ("import sys\n"
+            "from sheffer.bitfunc import TruthTable\n"
+            "from sheffer.clones import clones_of\n"
+            "clones_of(TruthTable(4, 0x6996))\n"
+            "print('numpy' in sys.modules)")
+    src = str(Path(sheffer.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("constants", [False, True])
