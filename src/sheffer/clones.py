@@ -134,7 +134,8 @@ def _separating(codes, n: int):
     """{"Pk"/"Qk": membership} for k in 2..n; `codes` is an int or a numpy array.
 
     An array's counts wrap modulo its dtype and stay exact while (2**n)**n
-    fits: uint32 does for n <= 4, but uint16 would wrap 16**4 to 0.
+    fits: uint32 does through n = 5, (2**5)**5 = 2**25, but uint16 would
+    wrap 16**4 to 0.
     """
     top = (1 << n) - 1
     inside = {}

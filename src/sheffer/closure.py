@@ -11,7 +11,8 @@ The computation runs in rounds: round k composes G over every argument
 tuple that contains at least one function first available after round
 k-1, so a function discovered in round k has a witness of depth exactly
 k and no smaller.  Each block of tuples is composed by `bitfunc.shannon`,
-the one composition kernel, over broadcast numpy arrays of codes.
+the one composition kernel, over broadcast numpy arrays of codes; codes
+are uint8 through three inputs and uint16 at four.
 Within its discovery round, a function's stored witness is the
 derivation with the fewest distinct gate applications in its DAG;
 remaining ties prefer argument tuples whose codes are largest first,
@@ -26,11 +27,12 @@ trivially closed, so the report is identical to running to quiescence).
 Synthesis asks for one target's witness, so a targeted run stops after
 the round that first realizes the target.  Every round is swept once;
 from the first chunk of that round that yields the target, the sweep
-ranks only the target's derivations.  The stored witness is unchanged:
-rounds before it run in full, every chunk of the target's round still
-collects the target's candidates, and a code's rank reads only the DAG
-masks of witnesses from earlier rounds.  Other codes of that round keep
-partial keys, which are never extracted.  `synthesize` first asks the
+selects derivations by one comparison with the target's code and ranks
+only those.  The stored witness is unchanged: rounds before it run in
+full, every chunk of the target's round still collects the target's
+candidates, and a code's rank reads only the DAG masks of witnesses
+from earlier rounds.  Other codes of that round keep partial keys,
+which are never extracted.  `synthesize` first asks the
 clone oracle in `sheffer.clones` whether the target is realizable at
 all, and returns None for an unrealizable target without running a
 closure.  The enumerator stays the independent check on that oracle.
@@ -271,8 +273,9 @@ def generate_closure(
 
     pool = _WitnessPool(n, constants_enabled, full) if witnesses else None
 
-    frontier = np.array(seeds, dtype=np.uint16)
-    old = np.array([], dtype=np.uint16)
+    dtype = np.uint8 if full <= 256 else np.uint16
+    frontier = np.array(seeds, dtype=dtype)
+    old = np.array([], dtype=dtype)
     rounds = 0
     stopped_by = None
 
@@ -297,7 +300,7 @@ def generate_closure(
         if stopped_by or realized.all():
             break
 
-        new_members = np.flatnonzero(realized & ~in_set).astype(np.uint16)
+        new_members = np.flatnonzero(realized & ~in_set).astype(dtype)
         if pool is not None:
             pool.settle(new_members, rounds)
         if budget is not None:
@@ -348,11 +351,12 @@ def _sweep_block(
     swept in chunks and the trailing axes shared, so the shared cache
     evaluates the gate's subfunctions over them once for the whole block.
     In witness mode each chunk's derivations of the codes set in
-    `collect` get their `_WitnessPool.ranks` keys, read back from the
-    grid's axes, and `pool.keys` keeps the smallest key per code.  Once
-    `target` is realized, `collect`, the round's own snapshot, is
-    narrowed in place to the target alone, so the rest of the round
-    ranks only the target's derivations.
+    `collect`, the round's snapshot of codes not yet realized, get their
+    `_WitnessPool.ranks` keys, read back from the grid's axes, and
+    `pool.keys` keeps the smallest key per code.  Once `target` is
+    realized, the round is narrowed: each later chunk, in this block and
+    the round's later ones, selects only the target's derivations, by
+    one comparison `flat == target`.
     Count mode (`pool` None) returns True as soon as the full space is
     reached, and False otherwise.
     """
@@ -367,12 +371,11 @@ def _sweep_block(
         flat = out.ravel()
         realized[flat] = True
 
-        if target is not None and realized[target]:
-            collect[:] = False
-            collect[target] = True
-            target = None  # stays narrowed for the rest of the round
         if pool is not None:
-            sel = np.flatnonzero(collect[flat])
+            if target is not None and realized[target]:
+                sel = np.flatnonzero(flat == target)  # the round is narrowed
+            else:
+                sel = np.flatnonzero(collect[flat])
             if sel.size:
                 idx = np.unravel_index(sel, out.shape)
                 args = [a.ravel()[i] for a, i in zip(axes, idx)]

@@ -7,6 +7,7 @@ import pytest
 from sheffer.bitfunc import (
     TruthTable,
     compose,
+    compose_codes,
     constant,
     hex_width,
     projection,
@@ -167,9 +168,10 @@ def test_compose_agrees_with_evaluate():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_shannon_array_path_matches_scalar_compose(n):
-    # The closure sweep feeds the kernel broadcast uint16 arrays, one axis
-    # per argument; every element must equal the scalar composition, and
-    # the result must span every axis even for constant subfunctions.
+    # At four inputs the closure sweep feeds the kernel broadcast uint16
+    # arrays, one axis per argument; every element must equal the scalar
+    # composition, and the result must span every axis even for constant
+    # subfunctions.
     rng = random.Random(20 + n)
     rowmask = (1 << (1 << n)) - 1
     gates = [rng.randrange(rowmask + 1) for _ in range(6)]
@@ -188,6 +190,23 @@ def test_shannon_array_path_matches_scalar_compose(n):
         for idx in itertools.product(*(range(size) for size in sizes)):
             args = [TruthTable(n, values[k][i]) for k, i in enumerate(idx)]
             assert int(out[idx]) == compose(TruthTable(n, code), args).code, (code, idx)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shannon_keeps_uint8_codes(n):
+    # Through three inputs the closure sweep feeds the kernel uint8 codes on
+    # an np.ix_ grid; a silent upcast would double its memory traffic.
+    rng = np.random.default_rng(40 + n)
+    rowmask = (1 << (1 << n)) - 1
+    srcs = [rng.integers(rowmask + 1, size=size, dtype=np.uint8) for size in (7, 5, 3)[:n]]
+    grid = np.ix_(*srcs)
+    gates = range(rowmask + 1) if n < 3 else [0x00, 0xFF, *rng.integers(256, size=14)]
+    for code in map(int, gates):
+        out = shannon(code, n, grid, rowmask, {})
+        assert out.dtype == np.uint8 and out.shape == tuple(s.size for s in srcs)
+        for idx in np.ndindex(out.shape):
+            args = [int(s[i]) for s, i in zip(srcs, idx)]
+            assert int(out[idx]) == compose_codes(code, n, args, n), (code, idx)
 
 
 def test_cofactor_case_studies():

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ WITNESS_DIGEST = "eccc3d6f823c91c31ea1020fe931537de5933f0c7e41a24f92d9bf90665494
 
 #: sha256 of the targeted witnesses of `test_targeted_witnesses_are_pinned`.
 TARGETED_DIGEST = "83643f7d188bd82866ff271f27f1cfe424eaa9581355e3254d1dcd5998c33eb5"
+
+#: sha256 of the targeted reports of `test_targeted_reports_are_pinned`.
+TARGETED_REPORT_DIGEST = "2e966a2e04696582743d5b090d69fb71756b5d4417ef69e2511fb3c55d651e8a"
 
 #: sha256 of the witness runs of `test_early_stopped_witness_maps_are_pinned`.
 EARLY_STOP_DIGEST = "3dd6b731eafd91ef8cd840a3e7934c7a85b15c3172bfdd694c3e8e44d5971119"
@@ -366,6 +370,42 @@ def test_targeted_witnesses_are_pinned():
                 record = [code, constants, target, circuit_to_json(circuit, tt)]
                 digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == TARGETED_DIGEST
+
+
+def test_targeted_reports_are_pinned():
+    # The targeted-vs-full tests compare one engine with itself, and the
+    # pin above reads only circuits; this pins whole targeted reports,
+    # lower bounds included.  Per class: a seeded target, then the
+    # smallest realizable code the last report missed, until a report
+    # misses none.  Its target is a deepest witness, found in the last
+    # round, so the sweep stays narrowed to it over the most chunks.
+    rng = random.Random(29)
+    digest = hashlib.sha256()
+    for code in _class_representatives_n3():
+        tt = TruthTable(3, code)
+        for constants in (False, True):
+            realizable = [t for t in range(256) if realizes(tt, TruthTable(3, t), constants)]
+            target = rng.choice(realizable)
+            while target is not None:
+                r = generate_closure(tt, constants, target=target)
+                witnesses = [[c, circuit_to_json(r.witnesses[c], tt)] for c in sorted(r.witnesses)]
+                record = [code, constants, target, hex(r.realized), r.count, r.rounds,
+                          r.stopped_by, witnesses]
+                digest.update(json.dumps(record).encode())
+                target = next((t for t in realizable if not r.is_realized(t)), None)
+    assert digest.hexdigest() == TARGETED_REPORT_DIGEST
+
+
+def test_heaviest_synthesis_memory_is_bounded():
+    # synth3's heaviest request.  Its traced peak is about 60 MiB; widening
+    # the sweep's flat codes to np.intp would take it to about 96 MiB.
+    tracemalloc.start()
+    try:
+        assert synthesize(TruthTable(3, 0x0D), TruthTable(3, 0x7F), True) is not None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 << 20
 
 
 def test_count_mode_reports_are_pinned():
