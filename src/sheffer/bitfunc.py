@@ -142,9 +142,7 @@ class TruthTable:
 
     def dual(self) -> "TruthTable":
         """The dual function x -> NOT f(NOT x)."""
-        m = self.n_rows
-        reversed_code = int(format(self.code, f"0{m}b")[::-1], 2)
-        return TruthTable(self.arity, reversed_code ^ ((1 << m) - 1))
+        return TruthTable(self.arity, dual_codes(self.code, self.arity))
 
     def permute(self, mapping: Sequence[int]) -> "TruthTable":
         """Relabel inputs: old variable k becomes variable `mapping[k]`.
@@ -170,6 +168,19 @@ def variable_pattern(arity: int, bitpos: int) -> int:
         if (r >> bitpos) & 1:
             out |= 1 << r
     return out
+
+
+def dual_codes(codes, arity: int):
+    """The duals x -> NOT f(NOT x) of `codes`, an int or a numpy array (dtype kept).
+
+    Swapping, for every variable, the rows where it is 0 with the rows where
+    it is 1 maps row r to row 2**arity - 1 - r; the dual is its complement.
+    """
+    full = (1 << (1 << arity)) - 1
+    for pos in range(arity):
+        shift, zeros = 1 << pos, full ^ variable_pattern(arity, pos)
+        codes = (codes >> shift & zeros) | (codes & zeros) << shift
+    return codes ^ full
 
 
 def projection(arity: int, var: int) -> TruthTable:

@@ -3,10 +3,10 @@
 A census classifies every gate of one arity; through three inputs it
 also carries both exact closure counts, which is what the checked-in
 reference data under ``sheffer/data`` is diffed against.  The class
-flags and both verdicts come from `clones.membership`, whose columns
-decide every Post class for all codes of an arity at once from the two
-halves of each encoding, and the paper's fast track looks the same two
-halves up one arity down.  The table keeps one column per field, and
+flags and both verdicts come from `clones.membership`, which decides
+every Post class for all codes of an arity at once, and the paper's
+fast track looks the two halves of each encoding up one arity down.
+The table keeps one column per field, and
 the per-gate `CensusRow` objects are built only when `CensusTable.rows`
 is read.  A rendered row is its code text then its tail, the text of
 every field after `code`, and each distinct tail is written once: the

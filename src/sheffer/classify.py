@@ -1,16 +1,19 @@
-"""Post-class predicates and universality verdicts for single gates.
+"""Post-class predicates and universality verdicts.
 
 A gate is functionally complete on its own (a Sheffer function) exactly
 when it preserves neither constant input row and is not self-dual.  With
 the constants 0 and 1 added to the set, completeness relaxes to "neither
-monotone nor affine".  Both verdicts are cheap structural tests; the
-closure module provides the exhaustive oracle they are validated against.
+monotone nor affine".  `post_classes` decides the five classes and both
+verdicts once, with bit operations that serve one int code and a numpy
+column of codes alike: `classify`, the predicates and
+`clones.membership` all read it.  The closure module provides the
+exhaustive oracle the verdicts are validated against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitfunc import TruthTable, variable_pattern
+from .bitfunc import TruthTable, dual_codes, variable_pattern
 
 #: (report column, `Classification` attribute) for every flag, in the
 #: order the CSV, JSON and CLI renderings list them.
@@ -39,80 +42,70 @@ class Classification:
     universal_with_constants: bool
 
 
+def post_classes(codes, n: int) -> dict:
+    """The five Post-class flags and both verdicts of `n`-input `codes`.
+
+    `codes` is an int code, giving bools, or a numpy array of codes, giving
+    boolean arrays; keyed by the `Classification` attribute names.
+    """
+    full = (1 << (1 << n)) - 1
+    rising = 0  # rows where f is 1 and setting one 0-input to 1 gives 0
+    anf = codes
+    linear = 1  # the ANF monomials an affine function may use
+    for pos in range(n):  # `zeros`: the rows where the variable is 0
+        shift, zeros = 1 << pos, full ^ variable_pattern(n, pos)
+        rising = rising | codes & zeros & ~(codes >> shift)
+        anf = anf ^ (anf & zeros) << shift
+        linear |= 1 << shift
+    t0 = codes & 1 == 0
+    t1 = codes >> ((1 << n) - 1) & 1 == 1
+    self_dual = dual_codes(codes, n) == codes
+    monotone = rising == 0
+    affine = anf & (full ^ linear) == 0
+    return {"preserves_zero": t0, "preserves_one": t1, "self_dual": self_dual,
+            "monotone": monotone, "affine": affine,
+            "universal_alone": (t0 | t1 | self_dual) == 0,
+            "universal_with_constants": (monotone | affine) == 0}
+
+
+def classify(tt: TruthTable) -> Classification:
+    """All class flags and both verdicts for one gate."""
+    return Classification(tt, **post_classes(tt.code, tt.arity))
+
+
 def preserves_zero(tt: TruthTable) -> bool:
     """True iff f(0, ..., 0) = 0 (membership in T0)."""
-    return (tt.code & 1) == 0
+    return post_classes(tt.code, tt.arity)["preserves_zero"]
 
 
 def preserves_one(tt: TruthTable) -> bool:
     """True iff f(1, ..., 1) = 1 (membership in T1)."""
-    return (tt.code >> (tt.n_rows - 1)) & 1 == 1
+    return post_classes(tt.code, tt.arity)["preserves_one"]
 
 
 def is_self_dual(tt: TruthTable) -> bool:
     """True iff f(NOT x) = NOT f(x) for every assignment."""
-    return tt.dual() == tt
+    return post_classes(tt.code, tt.arity)["self_dual"]
 
 
 def is_monotone(tt: TruthTable) -> bool:
     """True iff x <= y bitwise implies f(x) <= f(y)."""
-    # Monotone in the lattice iff monotone in each coordinate separately.
-    code = tt.code
-    for pos in range(tt.arity):
-        ones = variable_pattern(tt.arity, pos)
-        zeros = ((1 << tt.n_rows) - 1) ^ ones
-        low = code & zeros
-        high = (code >> (1 << pos)) & zeros
-        if low & ~high:
-            return False
-    return True
+    return post_classes(tt.code, tt.arity)["monotone"]
 
 
 def is_affine(tt: TruthTable) -> bool:
-    """True iff f is a parity of a subset of inputs plus a constant.
-
-    Computed from the algebraic normal form: affine means no monomial
-    of degree two or more.
-    """
-    anf = tt.code
-    full = (1 << tt.n_rows) - 1
-    for pos in range(tt.arity):
-        zeros = full ^ variable_pattern(tt.arity, pos)
-        anf ^= (anf & zeros) << (1 << pos)
-    allowed = 1
-    for pos in range(tt.arity):
-        allowed |= 1 << (1 << pos)
-    return anf & ~allowed == 0
+    """True iff f is a parity of a subset of inputs plus a constant."""
+    return post_classes(tt.code, tt.arity)["affine"]
 
 
 def universal_alone(tt: TruthTable) -> bool:
     """True iff the gate alone forms a functionally complete set."""
-    return not (preserves_zero(tt) or preserves_one(tt) or is_self_dual(tt))
+    return post_classes(tt.code, tt.arity)["universal_alone"]
 
 
 def universal_with_constants(tt: TruthTable) -> bool:
     """True iff the set {gate, 0, 1} is functionally complete."""
-    return not (is_monotone(tt) or is_affine(tt))
-
-
-def classify(tt: TruthTable) -> Classification:
-    """All class flags and both verdicts for one gate.
-
-    Each predicate runs once; the verdicts are the same formulas as
-    `universal_alone` and `universal_with_constants`, read off the flags.
-    """
-    t0, t1, self_dual = preserves_zero(tt), preserves_one(tt), is_self_dual(tt)
-    monotone, affine = is_monotone(tt), is_affine(tt)
-    return Classification(
-        gate=tt,
-        preserves_zero=t0,
-        preserves_one=t1,
-        self_dual=self_dual,
-        monotone=monotone,
-        affine=affine,
-        universal_alone=not (t0 or t1 or self_dual),
-        universal_with_constants=not (monotone or affine),
-    )
+    return post_classes(tt.code, tt.arity)["universal_with_constants"]
 
 
 def universality_scan(tt: TruthTable) -> bool:
@@ -149,4 +142,4 @@ def hex_fast_track(tt: TruthTable) -> bool:
         raise ValueError("the fast track needs at least 3 inputs")
     half = tt.n_rows // 2
     halves = (tt.code & ((1 << half) - 1), tt.code >> half)
-    return any(universal_with_constants(TruthTable(tt.arity - 1, c)) for c in halves)
+    return any(post_classes(c, tt.arity - 1)["universal_with_constants"] for c in halves)

@@ -1,20 +1,9 @@
 """Post's lattice as boolean columns: class membership and the clone oracle.
 
-The two halves of a gate's encoding are its cofactors on the leading
-input A: with `half` rows per cofactor, code ``c = f0 | f1 << half``,
-where f0 is the low half (A=0) and f1 the high half (A=1).  Each Post
-class is decided from the halves by recursion on arity (Post 1941):
-
-- M (monotone): M(f0), M(f1) and f0 <= f1 bitwise;
-- L (affine): L(f0), L(f1) and f0 XOR f1 constant (all zeros or ones);
-- S (self-dual): f0 is the dual of f1, because the dual of f has the
-  duals of f1 and f0 as its low and high halves;
-- T0 and T1 are the bits of rows 0 and 2**N - 1.
-
-Laid out as a ``[f1, f0]`` matrix, the code-ordered column of arity N
-is the outer combination of the arity N-1 column with itself, so a whole
-arity costs a few array operations.  The scalar predicates in
-`sheffer.classify` decide the same classes for one gate at a time.
+`classify.post_classes` decides T0, T1, S, M and L for one code or a
+numpy column of codes, so `membership` is that evaluator on every code
+of an arity at once, and `clones_of` and `clone_columns` read every
+listed clone off one function, `_listed`, on one code or on that column.
 
 The clone oracle decides closures without enumerating circuits.  The
 closure of a non-constant gate is the N-ary part of the clone it
@@ -55,8 +44,8 @@ from itertools import combinations
 from operator import and_, or_
 from typing import NamedTuple
 
-from .bitfunc import TruthTable, _check_arity, variable_pattern
-from .classify import classify
+from .bitfunc import TruthTable, _check_arity, dual_codes, variable_pattern
+from .classify import post_classes
 
 #: Largest arity `membership` and the clone oracle build: their columns
 #: have 2**(2**N) entries.
@@ -67,37 +56,14 @@ def membership(n: int) -> dict:
     """Class flags and both verdicts for every code of arity `n` (1..4).
 
     Returns boolean numpy arrays of length 2**(2**n) indexed by code,
-    keyed by the `Classification` attribute names.
+    keyed by the `Classification` attribute names: `post_classes` on
+    the codes in the narrowest unsigned dtype that holds them.
     """
     _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
-    # Arity 0: the constants 0 and 1, both monotone and affine, each the
-    # dual of the other.
-    monotone = affine = np.ones(2, dtype=bool)
-    dual = np.array([1, 0], dtype=np.uint32)
-    for k in range(1, n + 1):
-        half = 1 << (k - 1)
-        sub = np.arange(1 << half, dtype=np.uint32)
-        f1, f0 = sub[:, None], sub[None, :]
-        diff = f0 ^ f1
-        monotone = (monotone[:, None] & monotone[None, :] & ((f0 & ~f1) == 0)).ravel()
-        affine = (affine[:, None] & affine[None, :]
-                  & ((diff == 0) | (diff == (1 << half) - 1))).ravel()
-        dual = (dual[:, None] | (dual[None, :] << half)).ravel()
-    codes = np.arange(dual.size, dtype=np.uint32)
-    preserves_zero = (codes & 1) == 0
-    preserves_one = ((codes >> ((1 << n) - 1)) & 1) == 1
-    self_dual = dual == codes
-    return {
-        "preserves_zero": preserves_zero,
-        "preserves_one": preserves_one,
-        "self_dual": self_dual,
-        "monotone": monotone,
-        "affine": affine,
-        "universal_alone": ~(preserves_zero | preserves_one | self_dual),
-        "universal_with_constants": ~(monotone | affine),
-    }
+    size = 1 << (1 << n)
+    return post_classes(np.arange(size, dtype=np.min_scalar_type(size - 1)), n)
 
 
 #: The five classes of `membership`, as clone names and `Classification` attributes.
@@ -139,8 +105,8 @@ def _separating(codes, n: int):
     """
     top = (1 << n) - 1
     inside = {}
-    for name, up in (("P", [codes >> r & 1 for r in range(top + 1)]),
-                     ("Q", [~codes >> (top - r) & 1 for r in range(top + 1)])):
+    for name, ones in (("P", codes), ("Q", dual_codes(codes, n))):  # f in Q_k: dual in P_k
+        up = [ones >> r & 1 for r in range(top + 1)]
         for bit in (1 << i for i in range(n)):  # superset sums: up[m] becomes up(m)
             for m in range(top + 1):
                 if not m & bit:
@@ -155,18 +121,33 @@ def _separating(codes, n: int):
     return inside
 
 
+def _listed(codes, n: int) -> dict:
+    """{clone name: membership} of `codes` in every listed clone, in column order.
+
+    `codes` is an int code, giving bools, or a numpy array of codes,
+    giving boolean arrays; see `_separating` for the array's dtype.
+    """
+    classes = post_classes(codes, n)
+    inside = {name: classes[attr] for name, attr in _POST_CLASSES}
+    if isinstance(codes, int):
+        inside.update((name, codes in members) for name, members in _small_clones(n))
+    else:
+        import numpy as np
+
+        inside.update((name, np.isin(codes, sorted(members)))
+                      for name, members in _small_clones(n))
+    inside.update(_separating(codes, n))
+    return inside
+
+
 def clones_of(gate: TruthTable) -> tuple[str, ...]:
     """The names of the listed clones that contain `gate`, in column order.
 
-    Scalar counterpart of `clone_columns`: the five Post classes come
-    from `classify`, the rest from the same member lists and P_k/Q_k count.
+    Scalar counterpart of `clone_columns`: `_listed` on the one code,
+    without numpy.
     """
     _check_arity(gate.arity, MAX_COLUMN_ARITY)
-    flags = classify(gate)
-    return (*(name for name, attr in _POST_CLASSES if getattr(flags, attr)),
-            *(name for name, members in _small_clones(gate.arity)
-              if gate.code in members),
-            *(name for name, inside in _separating(gate.code, gate.arity).items() if inside))
+    return tuple(name for name, inside in _listed(gate.code, gate.arity).items() if inside)
 
 
 def clone_columns(n: int) -> dict:
@@ -175,17 +156,10 @@ def clone_columns(n: int) -> dict:
     Returns boolean numpy arrays of length 2**(2**n) indexed by code,
     keyed by clone name: T0, T1, S, M, L, Λ, V, U, then P2..Pn and Q2..Qn.
     """
+    _check_arity(n, MAX_COLUMN_ARITY)
     import numpy as np
 
-    classes = membership(n)
-    columns = {name: classes[attr] for name, attr in _POST_CLASSES}
-    size = 1 << (1 << n)
-    for name, members in _small_clones(n):
-        column = np.zeros(size, dtype=bool)
-        column[sorted(members)] = True
-        columns[name] = column
-    columns.update(_separating(np.arange(size, dtype=np.uint32), n))
-    return columns
+    return _listed(np.arange(1 << (1 << n), dtype=np.uint32), n)
 
 
 @cache

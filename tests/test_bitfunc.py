@@ -9,6 +9,7 @@ from sheffer.bitfunc import (
     compose,
     compose_codes,
     constant,
+    dual_codes,
     hex_width,
     projection,
     shannon,
@@ -276,6 +277,41 @@ def test_dual_involution():
         for _ in range(20):
             tt = TruthTable(arity, rng.randrange(1 << (1 << arity)))
             assert tt.dual().dual() == tt
+
+
+def _dual_by_evaluate(tt):
+    """x -> NOT f(NOT x), one assignment at a time."""
+    n = tt.arity
+    return sum((1 - tt.evaluate([1 - (r >> (n - 1 - i) & 1) for i in range(n)])) << r
+               for r in range(tt.n_rows))
+
+
+def _dual_cases():
+    for arity in (1, 2, 3):
+        yield from ((arity, code) for code in range(1 << (1 << arity)))
+    rng = random.Random(28)
+    for arity in (4, 5, 6):
+        yield from ((arity, rng.getrandbits(1 << arity)) for _ in range(50))
+
+
+def test_dual_codes_is_not_f_of_not_x():
+    for arity, code in _dual_cases():
+        tt = TruthTable(arity, code)
+        assert dual_codes(code, arity) == _dual_by_evaluate(tt) == tt.dual().code, tt
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_dual_codes_over_arrays_matches_ints(dtype):
+    bits = np.iinfo(dtype).bits
+    for arity in range(1, 6):
+        if 1 << arity > bits:
+            continue
+        codes = [code for n, code in _dual_cases() if n == arity]
+        column = np.array(codes, dtype=dtype)
+        duals = dual_codes(column, arity)
+        assert duals.dtype == dtype
+        assert duals.tolist() == [dual_codes(code, arity) for code in codes], arity
+        assert column.tolist() == codes  # the input column is left as it was
 
 
 def test_permute_case_studies():

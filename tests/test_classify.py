@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 
@@ -48,14 +49,15 @@ def test_self_dual():
     assert is_self_dual(gate("96", 3))
 
 
-def _monotone_brute_force(tt):
-    # independent oracle: compare all pairs of comparable assignments
-    m, rows = tt.n_rows, tt.rows
-    for x in range(m):
-        for y in range(m):
-            if x & y == x and rows[x] > rows[y]:
-                return False
-    return True
+def _rows(arity, code):
+    return [code >> r & 1 for r in range(1 << arity)]
+
+
+def _monotone_brute_force(arity, code):
+    # independent oracle: compare all pairs of comparable assignments x ⊆ y
+    rows = _rows(arity, code)
+    return all(rows[x] <= rows[y] for y in range(len(rows)) for x in range(len(rows))
+               if x & y == x)
 
 
 def test_monotone_examples():
@@ -67,23 +69,16 @@ def test_monotone_examples():
 @pytest.mark.parametrize("arity", [2, 3])
 def test_monotone_matches_brute_force(arity):
     for code in range(1 << (1 << arity)):
-        tt = TruthTable(arity, code)
-        assert is_monotone(tt) == _monotone_brute_force(tt)
+        assert is_monotone(TruthTable(arity, code)) == _monotone_brute_force(arity, code)
 
 
+@cache
 def _affine_codes(arity):
-    # independent oracle: construct every parity-of-inputs function
-    from sheffer.bitfunc import projection
-
-    out = set()
-    for mask in range(1 << arity):
-        for c0 in (0, 1):
-            code = (1 << (1 << arity)) - 1 if c0 else 0
-            for v in range(arity):
-                if (mask >> v) & 1:
-                    code ^= projection(arity, v).code
-            out.add(code)
-    return out
+    # independent oracle: construct every parity of a subset of the inputs
+    # (the bits of the row index), and its complement
+    rows = range(1 << arity)
+    return frozenset(sum(((r & mask).bit_count() + c & 1) << r for r in rows)
+                     for mask in rows for c in (0, 1))
 
 
 def test_affine_examples():
@@ -101,6 +96,65 @@ def test_affine_matches_constructed_set(arity):
         if is_affine(TruthTable(arity, code))
     }
     assert computed == expected
+
+
+def _classes_by_definition(arity, code):
+    """The five Post classes of one code, from their definitions alone."""
+    rows = _rows(arity, code)
+    top = len(rows) - 1
+    return {
+        "preserves_zero": rows[0] == 0,
+        "preserves_one": rows[top] == 1,
+        "self_dual": all(rows[r] != rows[top - r] for r in range(top + 1)),
+        "monotone": _monotone_brute_force(arity, code),
+        "affine": code in _affine_codes(arity),
+    }
+
+
+def _code(arity, bit):
+    """The code whose row r is `bit(r)`."""
+    return sum(bit(r) << r for r in range(1 << arity))
+
+
+def _structured_gates(rng, arity, count):
+    """(family, code) pairs inside M, L or S, where random codes almost never fall.
+
+    Family None is a near miss: a monotone gate with one input negated.
+    """
+    rows = 1 << arity
+    for _ in range(count):
+        terms = [rng.randrange(rows) for _ in range(rng.randint(1, 4))]
+        yield "monotone", _code(arity, lambda r: any(r & t == t for t in terms))
+        flip = 1 << rng.randrange(arity)
+        yield None, _code(arity, lambda r: any((r ^ flip) & t == t for t in terms))
+        mask, c = rng.randrange(rows), rng.randrange(2)
+        yield "affine", _code(arity, lambda r: (r & mask).bit_count() + c & 1)
+        low = rng.getrandbits(rows // 2)
+        yield "self_dual", _code(arity, lambda r: low >> r & 1 if r < rows // 2
+                                 else 1 - (low >> (rows - 1 - r) & 1))
+
+
+def _class_cases():
+    for arity in (1, 2, 3):
+        yield from ((arity, code) for code in range(1 << (1 << arity)))
+    rng = random.Random(28)
+    yield from ((4, rng.getrandbits(16)) for _ in range(300))
+    for arity in (5, 6):
+        for family, code in _structured_gates(rng, arity, 40):
+            assert family is None or _classes_by_definition(arity, code)[family], hex(code)
+            yield arity, code
+    yield 6, 0x6996966996696996  # parity of six inputs
+    yield 6, 0xFEE8E880E8808000  # at least four of six inputs
+
+
+def test_classes_match_their_definitions():
+    predicates = {"preserves_zero": preserves_zero, "preserves_one": preserves_one,
+                  "self_dual": is_self_dual, "monotone": is_monotone, "affine": is_affine}
+    for arity, code in _class_cases():
+        tt, expected = TruthTable(arity, code), _classes_by_definition(arity, code)
+        c = classify(tt)
+        assert {name: getattr(c, name) for name in expected} == expected, tt
+        assert {name: p(tt) for name, p in predicates.items()} == expected, tt
 
 
 def test_verdicts_alone():

@@ -275,11 +275,14 @@ def test_reruns_byte_identical(capsys):
 
 
 def test_cli_imports_numpy_lazily():
-    # A classify call needs no array code; numpy loads with the first
+    # A classify call needs no array code at any arity, though the one
+    # Post-class evaluator also serves columns; numpy loads with the first
     # closure or column build.
+    gates = ["7", "E8", "4685", "6996FEE8", "6996966996696996"]  # N = 2..6
     code = ("import sys, sheffer, sheffer.cli\n"
             "from sheffer.cli import main\n"
-            "assert main(['classify', '--gate', '7']) == 0\n"
+            f"for gate in {gates!r}:\n"
+            "    assert main(['classify', '--gate', gate]) == 0\n"
             "print('numpy' in sys.modules)")
     src = str(Path(sheffer.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import sheffer
+from sheffer import clones as clones_mod
 from sheffer.bitfunc import TruthTable
-from sheffer.classify import classify
+from sheffer.classify import classify, post_classes
 from sheffer.clones import (
     clone_columns,
     clones_of,
@@ -29,15 +30,28 @@ DEDEKIND = {1: 3, 2: 6, 3: 20, 4: 168}
 WITH_CONSTANTS = {1: 0, 2: 6, 3: 225, 4: 65342}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_membership_matches_scalar_classify(n):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_membership_matches_scalar_classify(monkeypatch, n):
+    # One evaluator on two paths: `classify` passes an int code and gets bools,
+    # `membership` passes the narrowest code column and gets boolean arrays.
     # Arities 2..4 are also checked through the census rows.
+    evaluated = []
+
+    def recording(codes, arity):
+        evaluated.append(codes.dtype.name)
+        return post_classes(codes, arity)
+
+    monkeypatch.setattr(clones_mod, "post_classes", recording)
     columns = membership(n)
-    for code in range(1 << (1 << n)):
+    assert evaluated == ["uint8" if n < 4 else "uint16"]
+    assert {column.dtype.name for column in columns.values()} == {"bool"}
+    codes = range(1 << (1 << n)) if n < 4 else random.Random(4).sample(range(1 << 16), 2000)
+    for code in codes:
         flags = classify(TruthTable(n, code))
-        assert {name: bool(column[code]) for name, column in columns.items()} == {
+        assert {name: column[code].item() for name, column in columns.items()} == {
             name: getattr(flags, name) for name in columns
         }, code
+        assert {type(getattr(flags, name)) for name in columns} == {bool}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
