@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from typing import Sequence
@@ -208,8 +209,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     # Argv was parsed under the digit limit; only the rendering lifts it.
     with _unlimited_int_digits():
         if args.max_n is not None:
-            if args.max_n < 2:  # universal_count rejects the top of the series
-                raise _UsageError(f"--max-n must be at least 2, got {args.max_n}")
+            if not 2 <= args.max_n <= 16:  # the range universal_count accepts
+                raise _UsageError(f"--max-n must be in 2..16, got {args.max_n}")
             reports = [universal_count(n) for n in range(2, args.max_n + 1)]
             lines = ["n,universal,total,ratio"] + [
                 f"{r.n},{r.universal},{r.gate_count},{r.ratio_decimal}" for r in reports
@@ -227,7 +228,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
         return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = _Parser(prog="sheffer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -12,7 +12,10 @@ tuple that contains at least one function first available after round
 k-1, so a function discovered in round k has a witness of depth exactly
 k and no smaller.  Each block of tuples is composed by `bitfunc.shannon`,
 the one composition kernel, over broadcast numpy arrays of codes; codes
-are uint8 through three inputs and uint16 at four.
+are uint8 through three inputs and uint16 at four.  A block is swept in
+chunks of its lead axis: about 2^22 elements in witness mode, which
+ranks each chunk's derivations, and about 2^18 in count mode, which
+stops after the first chunk that completes the full function space.
 Within its discovery round, a function's stored witness is the
 derivation with the fewest distinct gate applications in its DAG;
 remaining ties prefer argument tuples whose codes are largest first,
@@ -61,7 +64,13 @@ __all__ = [
     "circuit_from_json",
 ]
 
+#: Elements per chunk of a witness-mode sweep.  Large chunks keep the
+#: per-chunk ranking overhead low.
 _CHUNK_ELEMS = 1 << 22
+
+#: Elements per chunk of a count-mode sweep, which tests for the full
+#: space after every chunk; small chunks let it stop soon after.
+_COUNT_CHUNK_ELEMS = 1 << 18
 
 #: Largest product of trailing-axis sizes a block may sweep.  The block's
 #: intermediates span those axes before the lead axis is chunked, so a
@@ -358,12 +367,17 @@ def _sweep_block(
     the round's later ones, selects only the target's derivations, by
     one comparison `flat == target`.
     Count mode (`pool` None) returns True as soon as the full space is
-    reached, and False otherwise.
+    reached, and False otherwise.  It tests for that after every chunk of
+    `_COUNT_CHUNK_ELEMS`, so it stops about one small chunk after the
+    tuple that completes the space; witness mode's larger `_CHUNK_ELEMS`
+    chunks keep its per-chunk ranking cost low.  Where a chunk ends
+    changes neither the realized set nor the round in which it fills.
     """
     import numpy as np
 
     lead, *trailing = np.ix_(*srcs)
-    step = max(1, _CHUNK_ELEMS // math.prod(a.size for a in trailing))
+    chunk = _CHUNK_ELEMS if pool is not None else _COUNT_CHUNK_ELEMS
+    step = max(1, chunk // math.prod(a.size for a in trailing))
     cache: dict = {}
     for lo in range(0, lead.size, step):
         axes = [lead[lo : lo + step], *trailing]

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sheffer
+import sheffer.cli as cli
 import sheffer.closure as closure_mod
 from sheffer.cli import main
 from test_census import CENSUS_DIGESTS
@@ -92,6 +93,7 @@ def test_count_series_out_of_range(capsys, max_n):
     code, out, err = run(capsys, "count", "--max-n", max_n)
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    assert "--max-n" in err
 
 
 def test_count_rejects_n_with_max_n(capsys):
@@ -272,6 +274,19 @@ def test_reruns_byte_identical(capsys):
     _, first, _ = run(capsys, "classify", "--gate", "E8", "--json")
     _, second, _ = run(capsys, "classify", "--gate", "E8", "--json")
     assert first == second
+    # One parser serves every call; a usage error, --help or another
+    # command leaves nothing behind for the next call to read.
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run(capsys, "count", "--n", "x")
+    assert code == 1 and out == "" and err.startswith("error:")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sheffer")
+    code, out, _ = run(capsys, "closure", "--gate", "E8", "--constants")
+    assert code == 0 and "constants on" in out
+    code, last, err = run(capsys, "classify", "--gate", "E8", "--json")
+    assert code == 0 and err == "" and last == first
 
 
 def test_cli_imports_numpy_lazily():

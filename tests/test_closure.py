@@ -39,6 +39,9 @@ EARLY_STOP_DIGEST = "3dd6b731eafd91ef8cd840a3e7934c7a85b15c3172bfdd694c3e8e44d59
 #: sha256 of the count-mode reports of `test_count_mode_reports_are_pinned`.
 COUNT_DIGEST = "f5f0f08cb31f9ec1c99d77fb92e06ee925acf5f28e6266acaa8cd63dbf5a11b4"
 
+#: sha256 of the count-mode reports of `test_early_stopped_count_reports_are_pinned`.
+COUNT_EARLY_STOP_DIGEST = "57e607538d5ecbadfda6998eaba8bfc6adcf637043947d9ddeca7f6bb37371f6"
+
 
 def gate(text, arity):
     return TruthTable.from_hex(text, arity)
@@ -425,6 +428,49 @@ def test_count_mode_reports_are_pinned():
                       r.stopped_by, hex(r.realized)]
             digest.update(json.dumps(record).encode())
     assert digest.hexdigest() == COUNT_DIGEST
+
+
+def test_early_stopped_count_reports_are_pinned(monkeypatch):
+    # COUNT_DIGEST has no run that a budget or the sweep cap stops before
+    # four inputs, and EARLY_STOP_DIGEST pins witness mode only.
+    runs = []
+    for arity, codes in ((1, range(4)), (3, _class_representatives_n3())):
+        for code in codes:
+            runs += [(arity, code, budget, None) for budget in (3, 12, 40)]
+            runs += [(arity, code, None, cap) for cap in (100, 1000)]
+    digest = hashlib.sha256()
+    stops = set()
+    uncapped = closure_mod._MAX_TRAILING
+    for arity, code, budget, cap in runs:
+        monkeypatch.setattr(closure_mod, "_MAX_TRAILING", cap or uncapped)
+        for constants in (False, True):
+            r = generate_closure(
+                TruthTable(arity, code), constants, witnesses=False, budget=budget
+            )
+            stops.add(r.stopped_by)
+            record = [arity, code, constants, budget, cap, r.count, r.rounds, r.complete,
+                      r.stopped_by, hex(r.realized)]
+            digest.update(json.dumps(record).encode())
+    assert stops == {None, "budget", "sweep_cap"}
+    assert digest.hexdigest() == COUNT_EARLY_STOP_DIGEST
+
+
+def test_count_mode_stops_soon_after_the_full_space(monkeypatch):
+    # NOR3 realizes every code in its last round.  Count mode tests for the
+    # full space after each small chunk, so it composes about 0.32 million
+    # tuples; chunks of the witness-mode size would compose 4.26 million.
+    composed = []
+    real = closure_mod.shannon
+
+    def spy(*args):
+        out = real(*args)
+        composed.append(out.size)
+        return out
+
+    monkeypatch.setattr(closure_mod, "shannon", spy)
+    report = generate_closure(gate("01", 3), witnesses=False)
+    assert report.count == 256 and report.complete
+    assert sum(composed) < 1_000_000
 
 
 def test_synthesize_makes_one_witness_mode_closure(monkeypatch):
